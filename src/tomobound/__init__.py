@@ -4,65 +4,20 @@ The package computes closed-form upper bounds on the number of nodes whose
 working/failed state can be inferred from binary end-to-end path measurements,
 verifies identifiability and routing consistency of concrete (topology, path
 set) instances, and generates topologies that meet the bounds exactly.
+
+This namespace carries the README tour and the types and errors it exposes;
+everything else is imported from its submodule.
 """
 
-from .bounds import (
-    BoundResult,
-    Scenario,
-    bound,
-    bound_from_nmax,
-    bound_multi_fixed,
-    bound_multi_flexible,
-    bound_single_server,
-    i_max,
-    n_max,
-    psi_tree,
-    z_fb,
-)
-from .construct import (
-    ConstructedInstance,
-    ConstructionError,
-    EncodingSet,
-    FatTree,
-    fat_tree,
-    fat_tree_all_pair_paths,
-    fat_tree_route,
-    half_grid,
-    ica,
-    monitoring_tree,
-    path_completion,
-)
-from .identifiability import (
-    Encoding,
-    OracleTooLargeError,
-    PathMatrix,
-    TestingMatrix,
-    column_run_counts,
-    count_k_identifiable,
-    crossing_number,
-    is_k_identifiable,
-    one_identifiable_set,
-    path_matrix,
-    testing_matrix,
-)
-from .model import (
-    Graph,
-    MonitoringPath,
-    PathSet,
-    PathStats,
-    build_graph,
-    links_to_logical_nodes,
-    path_set_stats,
-    validate_path_set,
-)
+from .bounds import BoundResult, Scenario, bound, bound_multi_flexible, bound_single_server
+from .construct import ConstructedInstance, ConstructionError, ica
+from .identifiability import TestingMatrix, one_identifiable_set, testing_matrix
+from .model import Graph, MonitoringPath, PathSet, build_graph
 from .routing import (
     ConsistencyReport,
     ConsistencyViolation,
-    Segmentation,
     check_consistency,
     consistent_shortest_paths,
-    q_lower_bound,
-    verify_segmentation,
 )
 
 __version__ = "0.1.0"
@@ -73,47 +28,18 @@ __all__ = [
     "ConsistencyViolation",
     "ConstructedInstance",
     "ConstructionError",
-    "Encoding",
-    "EncodingSet",
-    "FatTree",
     "Graph",
     "MonitoringPath",
-    "OracleTooLargeError",
-    "PathMatrix",
     "PathSet",
-    "PathStats",
     "Scenario",
-    "Segmentation",
     "TestingMatrix",
     "bound",
-    "bound_from_nmax",
-    "bound_multi_fixed",
     "bound_multi_flexible",
     "bound_single_server",
     "build_graph",
     "check_consistency",
-    "column_run_counts",
     "consistent_shortest_paths",
-    "count_k_identifiable",
-    "crossing_number",
-    "fat_tree",
-    "fat_tree_all_pair_paths",
-    "fat_tree_route",
-    "half_grid",
-    "i_max",
     "ica",
-    "is_k_identifiable",
-    "links_to_logical_nodes",
-    "monitoring_tree",
-    "n_max",
     "one_identifiable_set",
-    "path_completion",
-    "path_matrix",
-    "path_set_stats",
-    "psi_tree",
-    "q_lower_bound",
     "testing_matrix",
-    "validate_path_set",
-    "verify_segmentation",
-    "z_fb",
 ]

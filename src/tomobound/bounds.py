@@ -37,20 +37,6 @@ class Scenario(str, Enum):
     MULTI_FLEXIBLE = "multi-flexible"
 
 
-_NEEDS_D = frozenset(
-    {
-        Scenario.ARBITRARY_AVG,
-        Scenario.ARBITRARY_MAX,
-        Scenario.CONSISTENT_AVG,
-        Scenario.CONSISTENT_MAX,
-        Scenario.PARTIAL_CONSISTENT,
-        Scenario.SINGLE_SERVER,
-        Scenario.MULTI_FIXED,
-        Scenario.MULTI_FLEXIBLE,
-    }
-)
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """One evaluated bound plus the inputs and intermediates that produced it."""
@@ -158,12 +144,12 @@ def n_max(
         )
     if scenario is Scenario.MULTI_FIXED:
         if m_s is None:
-            raise ValueError("fixed client assignment requires the per-server client vector")
+            raise ValueError("multi-fixed requires the per-server client vector m_s")
         return _nmax_multi_fixed(tuple(m_s), m, _as_fraction(d, "d"))
     if scenario is Scenario.MULTI_FLEXIBLE:
-        if s is None or s < 1:
-            raise ValueError("flexible client assignment requires the server count S >= 1")
-        exact = n_max_flexible_exact(m, s, _as_fraction(d, "d"))
+        if s is None:
+            raise ValueError("multi-flexible requires the server count S")
+        exact = n_max_flexible_exact(m, s, d)
         return max(0, exact.numerator // exact.denominator)
     raise ValueError(f"scenario {scenario} has no N_max formula (use bound() instead)")
 
@@ -260,37 +246,11 @@ def bound_single_server(m: int, n: int | None, d_max: int) -> BoundResult:
 
 
 def bound_multi_fixed(m_s: Sequence[int], m: int, n: int | None, d: Rational) -> BoundResult:
-    vec = tuple(m_s)
-    nmax = _nmax_multi_fixed(vec, m, _as_fraction(d, "d"))
-    return BoundResult(
-        scenario=Scenario.MULTI_FIXED.value,
-        m=m,
-        n=n,
-        d=Fraction(d),
-        d_kind="avg",
-        n_max=nmax,
-        i_max=i_max(m, nmax),
-        bound=bound_from_nmax(m, n, nmax),
-        servers=len(vec),
-        clients_per_server=vec,
-    )
+    return bound(Scenario.MULTI_FIXED, m, n, d, m_s=m_s)
 
 
 def bound_multi_flexible(m: int, s: int, n: int | None, d: Rational) -> BoundResult:
-    exact = n_max_flexible_exact(m, s, d)
-    nmax = max(0, exact.numerator // exact.denominator)
-    return BoundResult(
-        scenario=Scenario.MULTI_FLEXIBLE.value,
-        m=m,
-        n=n,
-        d=Fraction(d),
-        d_kind="avg",
-        n_max=nmax,
-        i_max=i_max(m, nmax),
-        bound=bound_from_nmax(m, n, nmax),
-        servers=s,
-        n_max_exact=exact if exact != nmax else None,
-    )
+    return bound(Scenario.MULTI_FLEXIBLE, m, n, d, s=s)
 
 
 def bound(
@@ -325,14 +285,6 @@ def bound(
         if dd.denominator != 1:
             raise ValueError("single-server d_max must be an integer")
         return bound_single_server(m, n, int(dd))
-    if scenario is Scenario.MULTI_FIXED:
-        if m_s is None:
-            raise ValueError("multi-fixed requires the per-server client vector m_s")
-        return bound_multi_fixed(m_s, m, n, d)
-    if scenario is Scenario.MULTI_FLEXIBLE:
-        if s is None:
-            raise ValueError("multi-flexible requires the server count S")
-        return bound_multi_flexible(m, s, n, d)
 
     notes: tuple[str, ...] = ()
     if m == 1 and scenario in (
@@ -341,8 +293,15 @@ def bound(
         Scenario.PARTIAL_CONSISTENT,
     ):
         notes = _warn_degenerate_m1(scenario)
-    nmax = n_max(scenario, m, d=d, q=q)
+    nmax = n_max(scenario, m, d=d, q=q, m_s=m_s, s=s)
     d_kind = "max" if scenario in (Scenario.ARBITRARY_MAX, Scenario.CONSISTENT_MAX) else "avg"
+    servers = clients = exact = None
+    if scenario is Scenario.MULTI_FIXED:
+        clients = tuple(m_s)
+        servers = len(clients)
+    elif scenario is Scenario.MULTI_FLEXIBLE:
+        servers = s
+        exact = n_max_flexible_exact(m, s, d)
     return BoundResult(
         scenario=scenario.value,
         m=m,
@@ -353,5 +312,8 @@ def bound(
         i_max=i_max(m, nmax),
         bound=bound_from_nmax(m, n, nmax),
         q=q if scenario is Scenario.PARTIAL_CONSISTENT else None,
+        servers=servers,
+        clients_per_server=clients,
+        n_max_exact=exact if exact != nmax else None,
         notes=notes,
     )

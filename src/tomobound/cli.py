@@ -65,14 +65,19 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _int_range(text: str) -> tuple[int, ...]:
     """Accept '4', '1..24', or '4,8,12'."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in text.split("..", 1))
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"reversed range {text!r}: {lo} > {hi}")
+        return tuple(range(lo, hi + 1))
     return _int_list(text)
 
 
 def _work_cap() -> int:
     raw = os.environ.get("TOMOBOUND_WORK_CAP")
-    return int(raw) if raw else DEFAULT_WORK_CAP
+    try:
+        return int(raw) if raw else DEFAULT_WORK_CAP
+    except ValueError:
+        raise ValueError(f"TOMOBOUND_WORK_CAP must be an integer, got {raw!r}") from None
 
 
 _SCENARIO_ALIASES = {
@@ -148,32 +153,23 @@ def cmd_check(args: argparse.Namespace) -> int:
     return CHECK_VIOLATIONS if violations else 0
 
 
+# kind -> (generator over the parsed arguments, the flag it requires besides --m)
+_GENERATORS = {
+    "ica": (lambda args: ica(args.m, args.dbar), "dbar"),
+    "half-grid": (lambda args: half_grid(args.m), None),
+    "monitoring-tree": (lambda args: monitoring_tree(args.m, args.dmax), "dmax"),
+}
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
-    if args.kind == "ica":
-        if args.dbar is None:
-            raise ValueError("construct ica requires --dbar")
-        inst = ica(args.m, args.dbar)
+    if args.kind in _GENERATORS:
+        generate, flag = _GENERATORS[args.kind]
+        if flag is not None and getattr(args, flag) is None:
+            raise ValueError(f"construct {args.kind} requires --{flag}")
+        inst = generate(args)
         graph, paths = inst.graph, inst.paths
         expected_phi1 = int(inst.meta["bound"])  # type: ignore[arg-type]
         sidecar: dict = {
-            "meta": {k: (list(v) if isinstance(v, tuple) else v) for k, v in inst.meta.items()},
-            "encodings": {str(i): s for i, s in enumerate(inst.encoding_strings())},
-        }
-    elif args.kind == "half-grid":
-        inst = half_grid(args.m)
-        graph, paths = inst.graph, inst.paths
-        expected_phi1 = int(inst.meta["bound"])  # type: ignore[arg-type]
-        sidecar = {
-            "meta": {k: (list(v) if isinstance(v, tuple) else v) for k, v in inst.meta.items()},
-            "encodings": {str(i): s for i, s in enumerate(inst.encoding_strings())},
-        }
-    elif args.kind == "monitoring-tree":
-        if args.dmax is None:
-            raise ValueError("construct monitoring-tree requires --dmax")
-        inst = monitoring_tree(args.m, args.dmax)
-        graph, paths = inst.graph, inst.paths
-        expected_phi1 = int(inst.meta["bound"])  # type: ignore[arg-type]
-        sidecar = {
             "meta": {k: (list(v) if isinstance(v, tuple) else v) for k, v in inst.meta.items()},
             "encodings": {str(i): s for i, s in enumerate(inst.encoding_strings())},
         }

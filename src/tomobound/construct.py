@@ -17,8 +17,9 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .bounds import Rational, bound_from_nmax, bound_single_server, i_max
-from .identifiability import Encoding
+from .identifiability import encoding_string, testing_matrix
 from .model import Graph, MonitoringPath, PathSet, build_graph
+from .routing import walk_to_root
 
 _ENUMERATION_GUARD = 2_000_000  # candidate subsets examined per emitted encoding
 
@@ -58,7 +59,7 @@ class ConstructedInstance:
 
     def encoding_strings(self) -> tuple[str, ...]:
         m = self.paths.m
-        return tuple(Encoding(b, m).to01() for b in self.encodings)
+        return tuple(encoding_string(b, m) for b in self.encodings)
 
 
 def _bit_positions(bits: int) -> tuple[int, ...]:
@@ -183,26 +184,19 @@ def _arrange_top_layer(
     return picked
 
 
-def _instance_from_encodings(
-    encodings: Sequence[int], m: int, meta: dict[str, object]
+def _instance(
+    seqs: Sequence[Sequence[int]],
+    meta: Mapping[str, object],
+    labels: Mapping[int, str] | None,
 ) -> ConstructedInstance:
-    ordered = sorted(encodings, key=_canonical_key)
-    index_of = {bits: j for j, bits in enumerate(ordered)}
-    paths = []
-    for i in range(m):
-        members = [b for b in ordered if b >> i & 1]
-        paths.append(MonitoringPath(tuple(index_of[b] for b in members)))
-    path_set = PathSet(tuple(paths))
-    edges = set()
-    for p in path_set.paths:
-        edges.update(
-            (min(u, v), max(u, v)) for u, v in zip(p.nodes, p.nodes[1:])
-        )
-    labels = {j: Encoding(b, m).to01() for j, b in enumerate(ordered)}
-    graph = build_graph(sorted(edges), labels=labels, node_count=len(ordered))
-    return ConstructedInstance(
-        graph=graph, paths=path_set, encodings=tuple(ordered), meta=meta
-    )
+    """Instance over the given node sequences: the graph links consecutive path
+    nodes, and each node's encoding is its testing-matrix column."""
+    path_set = PathSet.from_sequences(seqs)
+    n = path_set.max_node_id() + 1
+    steps = [step for p in path_set.paths for step in zip(p.nodes, p.nodes[1:])]
+    graph = build_graph(steps, labels=labels, node_count=n)
+    encodings = testing_matrix(path_set, n).columns
+    return ConstructedInstance(graph=graph, paths=path_set, encodings=encodings, meta=meta)
 
 
 def ica(m: int, dbar: Rational) -> ConstructedInstance:
@@ -260,8 +254,8 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
         added = set(b_v.members) - before
         completed = True
         replaced = (
-            Encoding(next(iter(removed)), m).to01(),
-            Encoding(next(iter(added)), m).to01(),
+            encoding_string(next(iter(removed)), m),
+            encoding_string(next(iter(added)), m),
         )
     loads = b_v.loads()
     if list(loads) != lengths:
@@ -284,7 +278,10 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
     }
     if replaced:
         meta["replaced"] = replaced
-    return _instance_from_encodings(sorted(b_v.members), m, meta)
+    ordered = sorted(b_v.members, key=_canonical_key)
+    seqs = [[j for j, b in enumerate(ordered) if b >> i & 1] for i in range(m)]
+    labels = {j: encoding_string(b, m) for j, b in enumerate(ordered)}
+    return _instance(seqs, meta, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +313,19 @@ def half_grid(m: int) -> ConstructedInstance:
     if m < 1:
         raise ValueError("m must be >= 1")
     ids = _half_grid_ids(m)
-    paths = []
+    seqs = []
     for i in range(m):
         seq = [ids[(i, i)]]
         for j in range(m - 1, -1, -1):
             if j == i:
                 continue
             seq.append(ids[(min(i, j), max(i, j))])
-        paths.append(MonitoringPath(tuple(seq)))
-    path_set = PathSet(tuple(paths))
-    edges = set()
-    for p in path_set.paths:
-        edges.update((min(u, v), max(u, v)) for u, v in zip(p.nodes, p.nodes[1:]))
-    n = m * (m + 1) // 2
-    encodings = [0] * n
+        seqs.append(seq)
     labels = {}
     for (i, j), node in ids.items():
-        encodings[node] = (1 << i) | (1 << j)
         labels[node] = f"p{i + 1}" if i == j else f"p{i + 1}*p{j + 1}"
-    graph = build_graph(sorted(edges), labels=labels, node_count=n)
-    meta = {"kind": "half-grid", "m": m, "dbar": str(m), "bound": n}
-    return ConstructedInstance(graph=graph, paths=path_set, encodings=tuple(encodings), meta=meta)
+    meta = {"kind": "half-grid", "m": m, "dbar": str(m), "bound": m * (m + 1) // 2}
+    return _instance(seqs, meta, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -391,27 +380,12 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
             sub = len(parent)
             parent.append(0)
             leaves.extend(_grow_full_binary(parent, sub, rest))
-    paths = []
-    for leaf in leaves:
-        seq = [leaf]
-        node = leaf
-        while node != 0:
-            node = parent[node]
-            seq.append(node)
-        paths.append(MonitoringPath(tuple(seq)))
-    path_set = PathSet(tuple(paths))
     n = len(parent)
-    edges = [(min(child, parent[child]), max(child, parent[child])) for child in range(1, n)]
-    graph = build_graph(edges, node_count=n)
-    cols = [0] * n
-    for i, p in enumerate(path_set.paths):
-        for u in p.nodes:
-            cols[u] |= 1 << i
     expected = bound_single_server(m, None, d_max).bound
     if n != expected:
         raise ConstructionError(f"tree has {n} nodes, single-server bound is {expected}")
     meta = {"kind": "monitoring-tree", "m": m, "d_max": d_max, "bound": expected}
-    return ConstructedInstance(graph=graph, paths=path_set, encodings=tuple(cols), meta=meta)
+    return _instance([walk_to_root(parent, leaf) for leaf in leaves], meta, None)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +411,12 @@ class FatTree:
     def address_of(self) -> Mapping[int, str]:
         return self.graph.labels or {}
 
-    def id_of(self, address: str) -> int:
-        return self.ids[address]
-
     def node_for(self, which: int | str) -> int:
-        return which if isinstance(which, int) else self.ids[which]
+        if isinstance(which, int):
+            return which
+        if not isinstance(which, str) or which not in self.ids:
+            raise ValueError(f"{which!r} is neither a node id nor a fat-tree address")
+        return self.ids[which]
 
 
 def fat_tree(k: int) -> FatTree:
@@ -533,30 +508,28 @@ def fat_tree_route(ft: FatTree, src: int | str, dst: int | str) -> MonitoringPat
     sp, se, _ = _host_parts(ft, s)
     tp, te, th = _host_parts(ft, t)
 
-    def edge_sw(pod: int, sw: int) -> int:
-        return ft.ids[f"10.{pod}.{sw}.1"]
-
-    def agg_sw(pod: int, sw: int) -> int:
+    def pod_sw(pod: int, sw: int) -> int:
+        # edge and aggregation switches share the address form 10.pod.switch.1
         return ft.ids[f"10.{pod}.{sw}.1"]
 
     def core_sw(j: int, i: int) -> int:
         return ft.ids[f"10.{ft.k}.{j}.{i}"]
 
     if sp == tp and se == te:
-        return MonitoringPath((s, edge_sw(sp, se), t))
+        return MonitoringPath((s, pod_sw(sp, se), t))
     a_byte = half + (th - 2 + se) % half
     if sp == tp:
-        return MonitoringPath((s, edge_sw(sp, se), agg_sw(sp, a_byte), edge_sw(tp, te), t))
+        return MonitoringPath((s, pod_sw(sp, se), pod_sw(sp, a_byte), pod_sw(tp, te), t))
     core_i = 1 + (th - 2 + a_byte) % half
     core_j = a_byte - half + 1
     return MonitoringPath(
         (
             s,
-            edge_sw(sp, se),
-            agg_sw(sp, a_byte),
+            pod_sw(sp, se),
+            pod_sw(sp, a_byte),
             core_sw(core_j, core_i),
-            agg_sw(tp, a_byte),
-            edge_sw(tp, te),
+            pod_sw(tp, a_byte),
+            pod_sw(tp, te),
             t,
         )
     )

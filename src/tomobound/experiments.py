@@ -12,14 +12,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from pathlib import Path
 
 from . import fixtures
 from .bounds import Scenario, bound, bound_single_server
 from .construct import fat_tree, fat_tree_all_pair_paths, fat_tree_route, ica
 from .identifiability import one_identifiable_set, testing_matrix
-from .model import Graph, MonitoringPath, PathSet, load_graph
-from .routing import Segmentation, q_lower_bound, shortest_path_tree, verify_segmentation
+from .model import Graph, PathSet, load_graph
+from .routing import Segmentation, q_lower_bound, shortest_path_tree, verify_segmentation, walk_to_root
 
 EXPERIMENTS = ("bound_sweep", "random_placement", "fat_tree_id", "tightness")
 
@@ -116,22 +116,6 @@ def _bound_sweep(spec: ExperimentSpec) -> list[tuple]:
     return rows
 
 
-def _placement_paths(g: Graph, server: int, clients: Sequence[int]) -> PathSet:
-    """Client-to-server paths off one canonical shortest-path tree."""
-    parent = shortest_path_tree(g, server)
-    paths = []
-    for c in clients:
-        if c not in parent:
-            raise ValueError(f"client {c} disconnected from server {server}")
-        seq = [c]
-        node = c
-        while node != server:
-            node = parent[node]
-            seq.append(node)
-        paths.append(MonitoringPath(tuple(seq)))
-    return PathSet(tuple(paths))
-
-
 def _random_placement(spec: ExperimentSpec) -> list[tuple]:
     """Random clients on access (degree-1) nodes, routed to a random server.
 
@@ -144,13 +128,10 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
         raise ValueError("random_placement needs m_values")
     g = _load_topology(spec)
     rng = random.Random(spec.seed)
-    degree = [0] * g.node_count
-    for u, v in g.edges:
-        degree[u] += 1
-        degree[v] += 1
-    dangling = [u for u in range(g.node_count) if degree[u] == 1]
+    adj = g.adjacency()
+    dangling = [u for u in range(g.node_count) if len(adj[u]) == 1]
     eligible_base = dangling if dangling else list(range(g.node_count))
-    servers = [u for u in range(g.node_count) if degree[u] > 1] or list(range(g.node_count))
+    servers = [u for u in range(g.node_count) if len(adj[u]) > 1] or list(range(g.node_count))
     d_label = spec.d_max if spec.d_max is not None else ""
     rows = []
     for m in spec.m_values:
@@ -160,29 +141,15 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
         worst_len = 0
         for _ in range(spec.trials):
             server = spec.server if spec.server is not None else rng.choice(servers)
-            eligible = [u for u in eligible_base if u != server]
+            parent = shortest_path_tree(g, server)
+            eligible = [u for u in eligible_base if u != server and u in parent]
             if spec.d_max is not None:
-                parent = shortest_path_tree(g, server)
-                radius = spec.d_max - 1
-
-                def hops(u: int) -> int | None:
-                    if u not in parent:
-                        return None
-                    count = 0
-                    while u != server:
-                        u = parent[u]
-                        count += 1
-                    return count
-
-                eligible = [u for u in eligible if (h := hops(u)) is not None and h <= radius]
-            else:
-                parent = shortest_path_tree(g, server)
-                eligible = [u for u in eligible if u in parent]
+                eligible = [u for u in eligible if len(walk_to_root(parent, u)) <= spec.d_max]
             if len(eligible) < m:
                 skipped += 1
                 continue
             clients = rng.sample(sorted(eligible), m)
-            ps = _placement_paths(g, server, clients)
+            ps = PathSet.from_sequences(walk_to_root(parent, c) for c in clients)
             t = testing_matrix(ps, g.node_count)
             phi1 = one_identifiable_set(t)[0]
             best = max(best, phi1)
@@ -198,11 +165,25 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
     return rows
 
 
+def _read_pairs(path: str) -> list[tuple]:
+    """Host pairs from a JSON file of the form {"pairs": [[src, dst], ...]}."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
+        raise ValueError(f'{path}: expected a JSON object with a "pairs" list')
+    for i, pair in enumerate(data["pairs"]):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"{path}: pair {i} is {json.dumps(pair)}, expected [src, dst]")
+    return [tuple(p) for p in data["pairs"]]
+
+
 def _fat_tree_id(spec: ExperimentSpec) -> list[tuple]:
     ft = fat_tree(spec.k)
     n = ft.graph.node_count
     if spec.pairs_file:
-        pairs = [tuple(p) for p in json.loads(open(spec.pairs_file, encoding="utf-8").read())["pairs"]]
+        pairs = _read_pairs(spec.pairs_file)
     else:
         k, pairs = fixtures.fat_tree_cover_pairs()
         if k != spec.k:

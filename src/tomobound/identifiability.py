@@ -23,40 +23,9 @@ class OracleTooLargeError(RuntimeError):
     """The exhaustive k-identifiability enumeration would exceed the work cap."""
 
 
-@dataclass(frozen=True)
-class Encoding:
-    """Length-m bit vector recording which paths traverse one node."""
-
-    bits: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >= (1 << self.m):
-            raise ValueError(f"bits {self.bits:#x} out of range for m={self.m}")
-
-    @classmethod
-    def from_string(cls, s: str) -> "Encoding":
-        if any(c not in "01" for c in s):
-            raise ValueError(f"not a bit string: {s!r}")
-        bits = 0
-        for i, c in enumerate(s):
-            if c == "1":
-                bits |= 1 << i
-        return cls(bits=bits, m=len(s))
-
-    def to01(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.m))
-
-    def paths(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.m) if self.bits >> i & 1)
-
-    def __str__(self) -> str:
-        return self.to01()
-
-
-def crossing_number(e: Encoding) -> int:
-    """Number of monitoring paths traversing the node: the ones in its encoding."""
-    return e.bits.bit_count()
+def encoding_string(bits: int, m: int) -> str:
+    """The length-m string form of an encoding, the first path leftmost."""
+    return "".join("1" if bits >> i & 1 else "0" for i in range(m))
 
 
 @dataclass(frozen=True)
@@ -70,12 +39,6 @@ class TestingMatrix:
     m: int
     n: int
     columns: tuple[int, ...]
-
-    def encoding(self, j: int) -> Encoding:
-        return Encoding(bits=self.columns[j], m=self.m)
-
-    def row_support(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if self.columns[j] >> i & 1)
 
     def row_weight(self, i: int) -> int:
         return sum(1 for j in range(self.n) if self.columns[j] >> i & 1)
@@ -167,7 +130,7 @@ class PathMatrix:
     rows: tuple[int, ...]
 
     def row_strings(self) -> tuple[str, ...]:
-        return tuple(Encoding(r, self.m).to01() for r in self.rows)
+        return tuple(encoding_string(r, self.m) for r in self.rows)
 
     def distinct_row_count(self) -> int:
         return len(set(self.rows))

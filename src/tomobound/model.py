@@ -154,9 +154,6 @@ class MonitoringPath:
     def node_set(self) -> frozenset[int]:
         return frozenset(self.nodes)
 
-    def reversed(self) -> "MonitoringPath":
-        return MonitoringPath(tuple(reversed(self.nodes)))
-
 
 @dataclass(frozen=True)
 class PathSet:

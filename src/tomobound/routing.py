@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .identifiability import column_run_counts, path_matrix, testing_matrix
-from .model import Graph, MonitoringPath, PathSet
+from .model import Graph, MonitoringPath, PathSet, _norm_edge
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,6 @@ def _edge_costs(g: Graph) -> dict[tuple[int, int], int]:
     return {e: hop_unit | (1 << rank) for rank, e in enumerate(sorted(g.edges))}
 
 
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
     """Parent map of the unique-cost shortest-path tree rooted at ``src``."""
     costs = _edge_costs(g)
@@ -174,7 +170,7 @@ def shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
             continue
         done.add(u)
         for v in adj[u]:
-            nd = d + costs[_norm(u, v)]
+            nd = d + costs[_norm_edge(u, v)]
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 parent[v] = u
@@ -182,7 +178,8 @@ def shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
     return parent
 
 
-def _walk_to_root(parent: dict[int, int], node: int) -> list[int]:
+def walk_to_root(parent: Mapping[int, int] | Sequence[int], node: int) -> list[int]:
+    """Nodes from ``node`` up to the root of a parent map whose root is its own parent."""
     seq = [node]
     while parent[node] != node:
         node = parent[node]
@@ -210,5 +207,5 @@ def consistent_shortest_paths(g: Graph, pairs: Sequence[tuple[int, int]]) -> Pat
         parent = trees[src]
         if dst not in parent:
             raise ValueError(f"nodes {src} and {dst} are disconnected")
-        paths.append(MonitoringPath(tuple(reversed(_walk_to_root(parent, dst)))))
+        paths.append(MonitoringPath(tuple(reversed(walk_to_root(parent, dst)))))
     return PathSet(tuple(paths))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tomobound.cli import main
 
 
@@ -127,6 +129,16 @@ class TestCheckCommand:
         assert code == 2
         assert "oracle too large" in err
 
+    def test_work_cap_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "g.edges").write_text("0 1\n")
+        (tmp_path / "p.paths").write_text("0 1\n")
+        monkeypatch.setenv("TOMOBOUND_WORK_CAP", "abc")
+        code, _, err = run_cli(
+            capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"), "--k", "1"
+        )
+        assert code == 2
+        assert "TOMOBOUND_WORK_CAP" in err and "'abc'" in err
+
     def test_violations_exit_1(self, tmp_path, capsys):
         (tmp_path / "g.edges").write_text("0 1\n")
         (tmp_path / "p.paths").write_text("0 1\n1 3\n")
@@ -216,6 +228,28 @@ class TestExperimentCommand:
         assert code == 0
         code, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_reversed_range_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--name", "tightness", "--m", "5..1", "--d", "2"])
+        assert exc.value.code == 2
+        assert "reversed range '5..1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, defect",
+        [
+            ('{"nopairs": []}', 'expected a JSON object with a "pairs" list'),
+            ("[1, 2]", 'expected a JSON object with a "pairs" list'),
+            ('{"pairs": [[1]]}', "pair 0 is [1], expected [src, dst]"),
+        ],
+        ids=["no-pairs-key", "not-an-object", "short-pair"],
+    )
+    def test_bad_pairs_file_exits_2(self, tmp_path, capsys, content, defect):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(content)
+        code, _, err = run_cli(capsys, "experiment", "--name", "fat_tree_id", "--pairs", str(pairs))
+        assert code == 2
+        assert err == f"error: {pairs}: {defect}\n"
 
     def test_written_file(self, tmp_path, capsys):
         target = tmp_path / "out.csv"

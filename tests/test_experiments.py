@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from tomobound import experiments
 from tomobound.bounds import bound, bound_single_server
 from tomobound.experiments import ExperimentSpec, ResultTable, run_experiment
+from tomobound.routing import shortest_path_tree
 
 
 def rows_by(table: ResultTable, scenario: str, metric: str) -> dict[int, object]:
@@ -97,6 +99,22 @@ class TestRandomPlacement:
         # soundness against the bound at the worst observed length
         phi = rows_by(table, "random-placement", "phi1_max")
         assert phi[5] <= bound_single_server(5, 108, lens[5]).bound
+
+    @pytest.mark.parametrize("d_max", [None, 3])
+    def test_one_spt_per_trial(self, monkeypatch, d_max):
+        builds = []
+
+        def counting_spt(g, src):
+            builds.append(src)
+            return shortest_path_tree(g, src)
+
+        monkeypatch.setattr(experiments, "shortest_path_tree", counting_spt)
+        spec = ExperimentSpec(name="random_placement", m_values=(4, 8, 48), trials=6, seed=7, d_max=d_max)
+        table = run_experiment(spec)
+        skipped = rows_by(table, "random-placement", "trials_skipped")
+        if d_max is not None:
+            assert sum(skipped.values()) > 0  # skipped trials build their SPT too
+        assert len(builds) == spec.trials * len(spec.m_values)
 
 
 class TestFatTreeId:

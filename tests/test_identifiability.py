@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_k_identifiable, brute_force_k_identifiable_set, random_instance
 from tomobound.identifiability import (
-    Encoding,
     OracleTooLargeError,
     column_run_counts,
     count_k_identifiable,
-    crossing_number,
+    encoding_string,
     is_k_identifiable,
     one_identifiable_set,
     path_matrix,
@@ -21,7 +20,7 @@ from tomobound.model import PathSet
 
 
 def cols_as_strings(t):
-    return [Encoding(c, t.m).to01() for c in t.columns]
+    return [encoding_string(c, t.m) for c in t.columns]
 
 
 class TestTestingMatrix:
@@ -69,21 +68,25 @@ class TestTestingMatrix:
 
 
 class TestCrossingNumber:
+    """The crossing number of a node is the bit count of its encoding."""
+
     def test_zero(self):
-        assert crossing_number(Encoding.from_string("0000")) == 0
+        assert encoding_string(0, 4) == "0000"
+        assert (0).bit_count() == 0
 
     def test_two(self):
-        assert crossing_number(Encoding.from_string("1100")) == 2
+        assert encoding_string(0b0011, 4) == "1100"
+        assert (0b0011).bit_count() == 2
 
     def test_half_grid_values(self):
         hg = half_grid(8)
         t = testing_matrix(hg.paths, hg.graph.node_count)
-        assert {crossing_number(t.encoding(j)) for j in range(t.n)} == {1, 2}
+        assert {c.bit_count() for c in t.columns} == {1, 2}
 
     def test_string_round_trip(self):
-        e = Encoding.from_string("10110")
-        assert e.to01() == "10110"
-        assert e.paths() == (0, 2, 3)
+        bits = 0b01101
+        assert encoding_string(bits, 5) == "10110"
+        assert [i for i, c in enumerate(encoding_string(bits, 5)) if c == "1"] == [0, 2, 3]
 
 
 class TestOneIdentifiable:

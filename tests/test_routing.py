@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
 from tomobound.fixtures import load_instance
-from tomobound.identifiability import column_run_counts, path_matrix, testing_matrix
+from tomobound.identifiability import column_run_counts, encoding_string, path_matrix, testing_matrix
 from tomobound.model import PathSet, build_graph
 from tomobound.routing import (
     Segmentation,
@@ -28,7 +28,7 @@ class TestCheckConsistency:
         report = check_consistency(ps)
         assert not report.consistent
         t = testing_matrix(ps, g.node_count)
-        by_encoding = {t.encoding(j).to01(): j for j in range(t.n)}
+        by_encoding = {encoding_string(c, t.m): j for j, c in enumerate(t.columns)}
         named = {
             (v.path_i, v.path_j, frozenset((v.u, v.v))) for v in report.violations
         }
