@@ -100,11 +100,15 @@ def _integral_budget(m: int, d: Fraction) -> int:
     return int(total)
 
 
-def _capped_budget(m: int, d: Fraction, cap: int) -> int:
-    # the integrality requirement is on m*d itself (sum of integer lengths),
-    # so validate before applying the scenario cap
-    budget = _integral_budget(m, d)
-    return min(budget, m * cap)
+# Per-path cap on the encoding budget of each routing-constrained scenario, as
+# a function of (m, q); their N_max is min(m*d, m*cap).
+_PATH_CAPS = {
+    Scenario.ARBITRARY_AVG: lambda m, q: 1 << (m - 1),
+    Scenario.ARBITRARY_MAX: lambda m, q: 1 << (m - 1),
+    Scenario.CONSISTENT_AVG: lambda m, q: 2 * (m - 1),
+    Scenario.CONSISTENT_MAX: lambda m, q: 2 * (m - 1),
+    Scenario.PARTIAL_CONSISTENT: lambda m, q: min(1 << (m - 1), 2 * q * (m - 1)),
+}
 
 
 def _warn_degenerate_m1(scenario: Scenario) -> tuple[str, ...]:
@@ -129,28 +133,38 @@ def n_max(
     The flexible-assignment budget may be fractional before flooring; use
     :func:`n_max_flexible_exact` for the pre-floor rational.
     """
+    return _budget(scenario, m, d, q, m_s, s)[0]
+
+
+def _budget(
+    scenario: Scenario,
+    m: int,
+    d: Rational | None,
+    q: int | None,
+    m_s: Sequence[int] | None,
+    s: int | None,
+) -> tuple[int, Fraction | None]:
+    """N_max, and the pre-floor rational it came from when flooring changed it."""
     _check_m(m)
     if scenario is Scenario.ARBITRARY_UNBOUNDED:
-        return m * (1 << (m - 1))
-    if scenario in (Scenario.ARBITRARY_AVG, Scenario.ARBITRARY_MAX):
-        return _capped_budget(m, _as_fraction(d, "d"), 1 << (m - 1))
-    if scenario in (Scenario.CONSISTENT_AVG, Scenario.CONSISTENT_MAX):
-        return _capped_budget(m, _as_fraction(d, "d"), 2 * (m - 1))
-    if scenario is Scenario.PARTIAL_CONSISTENT:
-        if q is None or q < 1:
+        return m * (1 << (m - 1)), None
+    if scenario in _PATH_CAPS:
+        if scenario is Scenario.PARTIAL_CONSISTENT and (q is None or q < 1):
             raise ValueError("partial consistency requires q >= 1")
-        return _capped_budget(
-            m, _as_fraction(d, "d"), min(1 << (m - 1), 2 * q * (m - 1))
-        )
+        # the integrality requirement is on m*d itself (sum of integer lengths),
+        # so validate before applying the scenario cap
+        budget = _integral_budget(m, _as_fraction(d, "d"))
+        return min(budget, m * _PATH_CAPS[scenario](m, q)), None
     if scenario is Scenario.MULTI_FIXED:
         if m_s is None:
             raise ValueError("multi-fixed requires the per-server client vector m_s")
-        return _nmax_multi_fixed(tuple(m_s), m, _as_fraction(d, "d"))
+        return _nmax_multi_fixed(tuple(m_s), m, _as_fraction(d, "d")), None
     if scenario is Scenario.MULTI_FLEXIBLE:
         if s is None:
             raise ValueError("multi-flexible requires the server count S")
         exact = n_max_flexible_exact(m, s, d)
-        return max(0, exact.numerator // exact.denominator)
+        nmax = max(0, exact.numerator // exact.denominator)
+        return nmax, exact if exact != nmax else None
     raise ValueError(f"scenario {scenario} has no N_max formula (use bound() instead)")
 
 
@@ -287,33 +301,28 @@ def bound(
         return bound_single_server(m, n, int(dd))
 
     notes: tuple[str, ...] = ()
-    if m == 1 and scenario in (
-        Scenario.CONSISTENT_AVG,
-        Scenario.CONSISTENT_MAX,
-        Scenario.PARTIAL_CONSISTENT,
-    ):
+    cap = _PATH_CAPS.get(scenario)
+    if m == 1 and cap is not None and cap(1, 1) == 0:  # q cannot lift a cap with factor m-1
         notes = _warn_degenerate_m1(scenario)
-    nmax = n_max(scenario, m, d=d, q=q, m_s=m_s, s=s)
-    d_kind = "max" if scenario in (Scenario.ARBITRARY_MAX, Scenario.CONSISTENT_MAX) else "avg"
-    servers = clients = exact = None
+    nmax, exact = _budget(scenario, m, d, q, m_s, s)
+    servers = clients = None
     if scenario is Scenario.MULTI_FIXED:
         clients = tuple(m_s)
         servers = len(clients)
     elif scenario is Scenario.MULTI_FLEXIBLE:
         servers = s
-        exact = n_max_flexible_exact(m, s, d)
     return BoundResult(
         scenario=scenario.value,
         m=m,
         n=n,
         d=Fraction(d),
-        d_kind=d_kind,
+        d_kind="max" if scenario.value.endswith("-max") else "avg",
         n_max=nmax,
         i_max=i_max(m, nmax),
         bound=bound_from_nmax(m, n, nmax),
         q=q if scenario is Scenario.PARTIAL_CONSISTENT else None,
         servers=servers,
         clients_per_server=clients,
-        n_max_exact=exact if exact != nmax else None,
+        n_max_exact=exact,
         notes=notes,
     )

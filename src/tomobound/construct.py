@@ -29,26 +29,6 @@ class ConstructionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EncodingSet:
-    """A set of distinct node encodings over m paths."""
-
-    m: int
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        limit = 1 << self.m
-        for b in self.members:
-            if not 0 < b < limit:
-                raise ValueError(f"encoding {b:#x} out of range for m={self.m} (or zero)")
-
-    def loads(self) -> tuple[int, ...]:
-        """Per-path load: how many member encodings have bit i set."""
-        return tuple(
-            sum(1 for b in self.members if b >> i & 1) for i in range(self.m)
-        )
-
-
-@dataclass(frozen=True)
 class ConstructedInstance:
     """A generated topology with its monitoring paths and per-node encodings."""
 
@@ -71,6 +51,11 @@ def _canonical_key(bits: int) -> tuple[int, tuple[int, ...]]:
     return (bits.bit_count(), _bit_positions(bits))
 
 
+def _loads(members: frozenset[int], m: int) -> tuple[int, ...]:
+    """Per-path load: how many member encodings have bit i set."""
+    return tuple(sum(1 for b in members if b >> i & 1) for i in range(m))
+
+
 def _layer(m: int, k: int) -> list[int]:
     """All encodings with exactly k ones, in ascending-path-index (combination) order."""
     out = []
@@ -82,7 +67,7 @@ def _layer(m: int, k: int) -> list[int]:
     return out
 
 
-def path_completion(b_v: EncodingSet, d: Sequence[int]) -> EncodingSet:
+def path_completion(members: frozenset[int], m: int, d: Sequence[int]) -> frozenset[int]:
     """Fix up overlength paths by swapping one encoding for a heavier one.
 
     With S the set of paths whose load sits one short of its target length,
@@ -92,15 +77,14 @@ def path_completion(b_v: EncodingSet, d: Sequence[int]) -> EncodingSet:
     below the heaviest one; the candidate scan follows ascending path-index
     order, so the choice is deterministic.
     """
-    m = b_v.m
-    loads = b_v.loads()
+    loads = _loads(members, m)
     short = [k for k in range(m) if loads[k] == d[k] - 1]
     if not short:
-        return b_v
+        return members
     over = [k for k in range(m) if loads[k] > d[k]]
     if over:
         raise ConstructionError(f"paths {over} already exceed their target lengths")
-    top = max(b.bit_count() for b in b_v.members)
+    top = max(b.bit_count() for b in members)
     want = top + 1 - len(short)
     if want < 1:
         raise ConstructionError(
@@ -112,15 +96,12 @@ def path_completion(b_v: EncodingSet, d: Sequence[int]) -> EncodingSet:
     for candidate in _layer(m, want):
         if candidate & s_mask:
             continue
-        if candidate not in b_v.members:
+        if candidate not in members:
             continue
         swapped = candidate | s_mask
-        if swapped in b_v.members:
+        if swapped in members:
             continue
-        members = set(b_v.members)
-        members.remove(candidate)
-        members.add(swapped)
-        return EncodingSet(m=m, members=frozenset(members))
+        return (members - {candidate}) | {swapped}
     raise ConstructionError("no eligible encoding found for path completion")
 
 
@@ -243,28 +224,16 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
     elif target > 0:
         raise ConstructionError("budget demands encodings beyond the all-paths layer")
 
-    b_v = EncodingSet(m=m, members=frozenset(taken))
-    completed = False
-    replaced: tuple[str, str] | None = None
-    loads = b_v.loads()
-    if any(loads[k] == lengths[k] - 1 for k in range(m)):
-        before = set(b_v.members)
-        b_v = path_completion(b_v, lengths)
-        removed = before - set(b_v.members)
-        added = set(b_v.members) - before
-        completed = True
-        replaced = (
-            encoding_string(next(iter(removed)), m),
-            encoding_string(next(iter(added)), m),
-        )
-    loads = b_v.loads()
+    before = frozenset(taken)
+    members = path_completion(before, m, lengths)
+    loads = _loads(members, m)
     if list(loads) != lengths:
         raise ConstructionError(
             f"arrangement finished with per-path loads {loads}, wanted {lengths}"
         )
-    if len(b_v.members) != psi:
+    if len(members) != psi:
         raise ConstructionError(
-            f"arrangement produced {len(b_v.members)} encodings, bound value is {psi}"
+            f"arrangement produced {len(members)} encodings, bound value is {psi}"
         )
     meta: dict[str, object] = {
         "kind": "ica",
@@ -274,11 +243,14 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
         "n_max": nmax,
         "i_max": imax,
         "bound": psi,
-        "path_completion": completed,
+        "path_completion": members != before,
     }
-    if replaced:
-        meta["replaced"] = replaced
-    ordered = sorted(b_v.members, key=_canonical_key)
+    if members != before:
+        meta["replaced"] = (
+            encoding_string(next(iter(before - members)), m),
+            encoding_string(next(iter(members - before)), m),
+        )
+    ordered = sorted(members, key=_canonical_key)
     seqs = [[j for j, b in enumerate(ordered) if b >> i & 1] for i in range(m)]
     labels = {j: encoding_string(b, m) for j, b in enumerate(ordered)}
     return _instance(seqs, meta, labels)
@@ -397,7 +369,13 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
 class FatTree:
     """Three-layer fat-tree of k-port switches with the usual pod addressing:
     edge/aggregation switches are 10.pod.switch.1, cores 10.k.j.i, hosts
-    10.pod.switch.{2..k/2+1}."""
+    10.pod.switch.{2..k/2+1}.
+
+    Node ids, which ``construct fat-tree`` writes, follow one layout: first the
+    (k/2)^2 cores row by row (10.k.1.1, 10.k.1.2, ...), then pod by pod its k/2
+    aggregation switches (switch k/2..k-1), its k/2 edge switches (switch
+    0..k/2-1) and its (k/2)^2 hosts, edge switch by edge switch.
+    """
 
     k: int
     graph: Graph
@@ -419,6 +397,38 @@ class FatTree:
         return self.ids[which]
 
 
+def _core_id(k: int, j: int, i: int) -> int:
+    """Id of core 10.k.j.i, for j and i in 1..k/2."""
+    return (j - 1) * (k // 2) + i - 1
+
+
+def _pod_base(k: int, pod: int) -> int:
+    """Id of the first switch of a pod: each pod holds k switches and (k/2)^2 hosts."""
+    half = k // 2
+    return half * half + pod * (k + half * half)
+
+
+def _switch_id(k: int, pod: int, sw: int) -> int:
+    """Id of switch sw of a pod: aggregation for sw >= k/2, edge below."""
+    # edge and aggregation switches share the address form 10.pod.switch.1
+    return _pod_base(k, pod) + (sw + k // 2) % k
+
+
+def _host_id(k: int, pod: int, sw: int, h: int) -> int:
+    """Id of host 10.pod.sw.h, for h in 2..k/2+1."""
+    return _pod_base(k, pod) + k + sw * (k // 2) + h - 2
+
+
+def _host_address(k: int, node: int) -> tuple[int, int, int]:
+    """(pod, sw, h) of the host with id ``node``, the inverse of :func:`_host_id`."""
+    half = k // 2
+    pod, offset = divmod(node - half * half, k + half * half)
+    if not (0 <= pod < k and offset >= k):
+        raise ValueError("both endpoints must be hosts")
+    sw, h = divmod(offset - k, half)
+    return pod, sw, h + 2
+
+
 def fat_tree(k: int) -> FatTree:
     """Build the k-ary three-layer fat-tree: k pods of k/2 edge and k/2
     aggregation switches, (k/2)^2 cores, and k/2 hosts per edge switch."""
@@ -426,66 +436,38 @@ def fat_tree(k: int) -> FatTree:
         raise ValueError("k must be an even integer >= 2")
     half = k // 2
     labels: dict[int, str] = {}
-    core: list[int] = []
-    agg: list[int] = []
-    edge_sw: list[int] = []
-    hosts: list[int] = []
-    next_id = 0
-
-    def add(label: str) -> int:
-        nonlocal next_id
-        node = next_id
-        labels[node] = label
-        next_id += 1
-        return node
-
-    core_id: dict[tuple[int, int], int] = {}
     for j in range(1, half + 1):
         for i in range(1, half + 1):
-            node = add(f"10.{k}.{j}.{i}")
-            core_id[(j, i)] = node
-            core.append(node)
-    agg_id: dict[tuple[int, int], int] = {}
-    edge_id: dict[tuple[int, int], int] = {}
-    host_id: dict[tuple[int, int, int], int] = {}
+            labels[_core_id(k, j, i)] = f"10.{k}.{j}.{i}"
     for pod in range(k):
-        for sw in range(half, k):
-            agg_id[(pod, sw)] = add(f"10.{pod}.{sw}.1")
-            agg.append(agg_id[(pod, sw)])
-        for sw in range(half):
-            edge_id[(pod, sw)] = add(f"10.{pod}.{sw}.1")
-            edge_sw.append(edge_id[(pod, sw)])
+        for sw in [*range(half, k), *range(half)]:
+            labels[_switch_id(k, pod, sw)] = f"10.{pod}.{sw}.1"
         for sw in range(half):
             for h in range(2, half + 2):
-                host_id[(pod, sw, h)] = add(f"10.{pod}.{sw}.{h}")
-                hosts.append(host_id[(pod, sw, h)])
+                labels[_host_id(k, pod, sw, h)] = f"10.{pod}.{sw}.{h}"
 
     edges: list[tuple[int, int]] = []
     for pod in range(k):
         for sw in range(half):
             for a in range(half, k):
-                edges.append((edge_id[(pod, sw)], agg_id[(pod, a)]))
+                edges.append((_switch_id(k, pod, sw), _switch_id(k, pod, a)))
             for h in range(2, half + 2):
-                edges.append((edge_id[(pod, sw)], host_id[(pod, sw, h)]))
+                edges.append((_switch_id(k, pod, sw), _host_id(k, pod, sw, h)))
         for a in range(half, k):
             j = a - half + 1  # aggregation row: connects to cores 10.k.j.*
             for i in range(1, half + 1):
-                edges.append((agg_id[(pod, a)], core_id[(j, i)]))
-    graph = build_graph(edges, labels=labels, node_count=next_id)
+                edges.append((_switch_id(k, pod, a), _core_id(k, j, i)))
+    graph = build_graph(edges, labels=labels, node_count=len(labels))
+    pods = [range(_pod_base(k, pod), _pod_base(k, pod + 1)) for pod in range(k)]
     return FatTree(
         k=k,
         graph=graph,
-        core=tuple(core),
-        aggregation=tuple(agg),
-        edge=tuple(edge_sw),
-        hosts=tuple(hosts),
+        core=tuple(range(half * half)),
+        aggregation=tuple(node for ids in pods for node in ids[:half]),
+        edge=tuple(node for ids in pods for node in ids[half:k]),
+        hosts=tuple(node for ids in pods for node in ids[k:]),
         ids={addr: node for node, addr in labels.items()},
     )
-
-
-def _host_parts(ft: FatTree, node: int) -> tuple[int, int, int]:
-    pod, sw, h = (int(x) for x in ft.address_of[node].split(".")[1:])
-    return pod, sw, h
 
 
 def fat_tree_route(ft: FatTree, src: int | str, dst: int | str) -> MonitoringPath:
@@ -499,40 +481,22 @@ def fat_tree_route(ft: FatTree, src: int | str, dst: int | str) -> MonitoringPat
     """
     s = ft.node_for(src)
     t = ft.node_for(dst)
-    host_set = frozenset(ft.hosts)
-    if s not in host_set or t not in host_set:
-        raise ValueError("both endpoints must be hosts")
+    k = ft.k
+    half = k // 2
+    sp, se, _ = _host_address(k, s)
+    tp, te, th = _host_address(k, t)
     if s == t:
         raise ValueError("source and destination hosts coincide")
-    half = ft.k // 2
-    sp, se, _ = _host_parts(ft, s)
-    tp, te, th = _host_parts(ft, t)
-
-    def pod_sw(pod: int, sw: int) -> int:
-        # edge and aggregation switches share the address form 10.pod.switch.1
-        return ft.ids[f"10.{pod}.{sw}.1"]
-
-    def core_sw(j: int, i: int) -> int:
-        return ft.ids[f"10.{ft.k}.{j}.{i}"]
-
     if sp == tp and se == te:
-        return MonitoringPath((s, pod_sw(sp, se), t))
+        return MonitoringPath((s, _switch_id(k, sp, se), t))
     a_byte = half + (th - 2 + se) % half
+    up = (s, _switch_id(k, sp, se), _switch_id(k, sp, a_byte))
+    down = (_switch_id(k, tp, te), t)
     if sp == tp:
-        return MonitoringPath((s, pod_sw(sp, se), pod_sw(sp, a_byte), pod_sw(tp, te), t))
+        return MonitoringPath(up + down)
     core_i = 1 + (th - 2 + a_byte) % half
     core_j = a_byte - half + 1
-    return MonitoringPath(
-        (
-            s,
-            pod_sw(sp, se),
-            pod_sw(sp, a_byte),
-            core_sw(core_j, core_i),
-            pod_sw(tp, a_byte),
-            pod_sw(tp, te),
-            t,
-        )
-    )
+    return MonitoringPath(up + (_core_id(k, core_j, core_i), _switch_id(k, tp, a_byte)) + down)
 
 
 def fat_tree_all_pair_paths(ft: FatTree) -> PathSet:

@@ -47,6 +47,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment {self.name!r}; have {EXPERIMENTS}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for m in self.m_values:
+            if m < 1:
+                raise ValueError(f"m must be >= 1, got m={m}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,8 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
     if not spec.m_values:
         raise ValueError("random_placement needs m_values")
     g = _load_topology(spec)
+    if spec.server is not None and not 0 <= spec.server < g.node_count:
+        raise ValueError(f"server {spec.server} is not a node of the {g.node_count}-node topology")
     rng = random.Random(spec.seed)
     adj = g.adjacency()
     dangling = [u for u in range(g.node_count) if len(adj[u]) == 1]

@@ -40,9 +40,6 @@ class TestingMatrix:
     n: int
     columns: tuple[int, ...]
 
-    def row_weight(self, i: int) -> int:
-        return sum(1 for j in range(self.n) if self.columns[j] >> i & 1)
-
 
 def testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
     """Exact path-over-node incidence; duplicate node mentions within a path collapse."""
@@ -128,9 +125,6 @@ class PathMatrix:
     path_index: int
     m: int
     rows: tuple[int, ...]
-
-    def row_strings(self) -> tuple[str, ...]:
-        return tuple(encoding_string(r, self.m) for r in self.rows)
 
     def distinct_row_count(self) -> int:
         return len(set(self.rows))

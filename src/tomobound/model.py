@@ -7,7 +7,6 @@ side map so that testing-matrix columns stay stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -43,9 +42,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
-
-    def degree(self, u: int) -> int:
-        return sum(1 for e in self.edges if u in e)
 
     def adjacency(self) -> dict[int, list[int]]:
         """Fresh adjacency map with sorted neighbor lists."""
@@ -187,25 +183,6 @@ class PathSet:
 
     def all_simple(self) -> bool:
         return all(p.is_simple for p in self.paths)
-
-
-@dataclass(frozen=True)
-class PathStats:
-    m: int
-    lengths: tuple[int, ...]
-    dbar: Fraction
-    d_max: int
-
-
-def path_set_stats(ps: PathSet) -> PathStats:
-    """Lengths, exact rational average length, and maximum length of a path set."""
-    lengths = ps.lengths()
-    return PathStats(
-        m=ps.m,
-        lengths=lengths,
-        dbar=Fraction(sum(lengths), ps.m),
-        d_max=max(lengths),
-    )
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,23 @@ class TestExperimentCommand:
         code, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("server", ["999", "-1"])
+    def test_server_outside_topology_exits_2(self, capsys, server):
+        code, out, err = run_cli(
+            capsys, "experiment", "--name", "random_placement", "--m", "4", "--server", server
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: server {server} is not a node of the 108-node topology\n"
+
+    def test_m_below_one_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "experiment", "--name", "tightness", "--m", "0", "--d", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: m must be >= 1, got m=0\n"
+
     def test_reversed_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--name", "tightness", "--m", "5..1", "--d", "2"])

@@ -1,11 +1,11 @@
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
 from tomobound.bounds import bound, bound_from_nmax, bound_single_server, z_fb
 from tomobound.construct import (
     ConstructionError,
-    EncodingSet,
     fat_tree,
     fat_tree_all_pair_paths,
     fat_tree_route,
@@ -20,7 +20,7 @@ from tomobound.identifiability import (
     path_matrix,
     testing_matrix,
 )
-from tomobound.model import path_set_stats, validate_path_set
+from tomobound.model import format_edge_list, format_path_file, validate_path_set
 from tomobound.routing import Segmentation, check_consistency, q_lower_bound, verify_segmentation
 
 
@@ -30,6 +30,10 @@ def bits(s: str) -> int:
         if c == "1":
             out |= 1 << i
     return out
+
+
+def loads(members, m: int) -> tuple[int, ...]:
+    return tuple(sum(1 for b in members if b >> i & 1) for i in range(m))
 
 
 def phi1(inst) -> int:
@@ -90,7 +94,7 @@ class TestIca:
 
     def test_average_length_exact(self):
         inst = ica(4, Fraction(17, 4))
-        assert path_set_stats(inst.paths).dbar == Fraction(17, 4)
+        assert Fraction(sum(inst.paths.lengths()), inst.paths.m) == Fraction(17, 4)
 
     def test_rejects_overlong_average(self):
         with pytest.raises(ValueError, match="2"):
@@ -112,17 +116,14 @@ class TestPathCompletion:
             for s in ["1000", "0100", "0010", "0001",
                       "1100", "1010", "1001", "0110", "0101", "0011"]
         )
-        out = path_completion(EncodingSet(m=4, members=members), [5, 4, 4, 4])
-        gained = out.members - members
-        lost = members - out.members
-        assert {next(iter(lost))} == {bits("0110")}
-        assert {next(iter(gained))} == {bits("1110")}
-        assert out.loads() == (5, 4, 4, 4)
+        out = path_completion(members, 4, [5, 4, 4, 4])
+        assert members - out == {bits("0110")}
+        assert out - members == {bits("1110")}
+        assert loads(out, 4) == (5, 4, 4, 4)
 
     def test_no_short_paths_identity(self):
         members = frozenset(bits(s) for s in ["10", "01"])
-        es = EncodingSet(m=2, members=members)
-        assert path_completion(es, [1, 1]) is es
+        assert path_completion(members, 2, [1, 1]) is members
 
     def test_size_preserved(self):
         members = frozenset(
@@ -130,14 +131,14 @@ class TestPathCompletion:
             for s in ["1000", "0100", "0010", "0001",
                       "1100", "1010", "1001", "0110", "0101", "0011"]
         )
-        out = path_completion(EncodingSet(m=4, members=members), [5, 4, 4, 4])
-        assert len(out.members) == len(members)
+        out = path_completion(members, 4, [5, 4, 4, 4])
+        assert len(out) == len(members)
 
     def test_error_when_no_candidate(self):
         # all heavier encodings already present: completion cannot swap
         members = frozenset(bits(s) for s in ["10", "01", "11"])
         with pytest.raises(ConstructionError):
-            path_completion(EncodingSet(m=2, members=members), [3, 2])
+            path_completion(members, 2, [3, 2])
 
 
 class TestHalfGrid:
@@ -249,10 +250,11 @@ class TestFatTree:
     def test_switch_port_budget(self):
         for k in (2, 4, 6):
             ft = fat_tree(k)
+            adj = ft.graph.adjacency()
             for sw in ft.aggregation + ft.edge:
-                assert ft.graph.degree(sw) == k
+                assert len(adj[sw]) == k
             for c in ft.core:
-                assert ft.graph.degree(c) == k
+                assert len(adj[c]) == k
 
     def test_reference_route_inter_pod(self):
         ft = fat_tree(4)
@@ -285,6 +287,23 @@ class TestFatTree:
         with pytest.raises(ValueError):
             fat_tree_route(ft, "10.0.0.2", "10.0.0.2")
 
+    @pytest.mark.parametrize(
+        "which", ["first core", "last core", "aggregation", "edge", "node count", "-1"]
+    )
+    def test_non_host_endpoint_rejected(self, which):
+        ft = fat_tree(4)
+        node = {
+            "first core": ft.core[0],
+            "last core": ft.core[-1],
+            "aggregation": ft.aggregation[0],
+            "edge": ft.edge[-1],
+            "node count": ft.graph.node_count,
+            "-1": -1,
+        }[which]
+        for src, dst in [(node, ft.hosts[0]), (ft.hosts[-1], node)]:
+            with pytest.raises(ValueError, match="both endpoints must be hosts"):
+                fat_tree_route(ft, src, dst)
+
     def test_routes_are_graph_paths(self):
         ft = fat_tree(4)
         ps = fat_tree_all_pair_paths(ft)
@@ -299,3 +318,26 @@ class TestFatTree:
         t = testing_matrix(ps, ft.graph.node_count)
         for i in range(ps.m):
             assert max(column_run_counts(path_matrix(ps, t, i))) <= 2
+
+    # sha256 of the edge list and of the all-pairs path file, recorded before the
+    # node-id layout was written as id functions
+    @pytest.mark.parametrize(
+        "k, edges_digest, paths_digest",
+        [
+            (
+                6,
+                "721d284751186994140660c18df4c4ca864a585bedea11fc980819e1f4ecfcbd",
+                "1edbc048a51c085efa6b4c6990a4e9ff8d204a0685a9deb35486a5ff93be3596",
+            ),
+            (
+                8,
+                "d2bfa975f9c93fd16b6f51b0851fa6211714825308b2159d1a9327dce01f4c74",
+                "3380c7b3a02f2fc8ef7cbf3598ffe53f155ad8b91215a41b0f823a24aa495e2c",
+            ),
+        ],
+    )
+    def test_full_size_files_unchanged(self, k, edges_digest, paths_digest):
+        ft = fat_tree(k)
+        assert sha256(format_edge_list(ft.graph).encode()).hexdigest() == edges_digest
+        paths = format_path_file(fat_tree_all_pair_paths(ft))
+        assert sha256(paths.encode()).hexdigest() == paths_digest
