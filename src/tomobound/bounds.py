@@ -84,6 +84,13 @@ def _check_m(m: int) -> None:
         raise ValueError("m must be >= 1")
 
 
+def _cap_by_n(value: int, n: int | None) -> int:
+    """``value`` capped by the node count n (None = no cap)."""
+    if n is not None and n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
+    return value if n is None else min(value, n)
+
+
 def _as_fraction(d: Rational, name: str) -> Fraction:
     d = Fraction(d)
     if d <= 0:
@@ -210,10 +217,7 @@ def bound_from_nmax(m: int, n: int | None, nmax: int) -> int:
     imax = i_max(m, nmax)
     layers = sum(comb(m, i) for i in range(1, imax + 1))
     spent = sum(i * comb(m, i) for i in range(1, imax + 1))
-    value = layers + (nmax - spent) // (imax + 1)
-    if n is not None:
-        value = min(value, n)
-    return value
+    return _cap_by_n(layers + (nmax - spent) // (imax + 1), n)
 
 
 def z_fb(leaves: int) -> int:
@@ -245,8 +249,6 @@ def bound_single_server(m: int, n: int | None, d_max: int) -> BoundResult:
     else:
         cap = 1 << (d_max - 2)
         value = 1 + (m // cap) * z_fb(cap) + z_fb(m % cap)
-    if n is not None:
-        value = min(value, n)
     return BoundResult(
         scenario=Scenario.SINGLE_SERVER.value,
         m=m,
@@ -255,7 +257,7 @@ def bound_single_server(m: int, n: int | None, d_max: int) -> BoundResult:
         d_kind="max",
         n_max=None,
         i_max=None,
-        bound=value,
+        bound=_cap_by_n(value, n),
     )
 
 
@@ -285,12 +287,9 @@ def bound(
     scenario = Scenario(scenario)
     _check_m(m)
     if scenario is Scenario.ARBITRARY_UNBOUNDED:
-        value = (1 << m) - 1
-        if n is not None:
-            value = min(value, n)
         return BoundResult(
             scenario=scenario.value, m=m, n=n, d=None, d_kind=None,
-            n_max=None, i_max=None, bound=value,
+            n_max=None, i_max=None, bound=_cap_by_n((1 << m) - 1, n),
         )
     if d is None:
         raise ValueError(f"scenario {scenario.value} requires a path-length parameter")

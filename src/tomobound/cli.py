@@ -234,10 +234,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     table = run_experiment(spec)
     csv_text = table.to_csv()
+    if args.json_out:
+        Path(args.json_out).write_text(table.to_json(), encoding="utf-8")
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
-        if args.json_out:
-            Path(args.json_out).write_text(table.to_json(), encoding="utf-8")
         print(json.dumps({"written": args.out, "rows": len(table.rows)}))
     else:
         sys.stdout.write(csv_text)

@@ -336,10 +336,7 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
     parent: list[int] = [0]  # node 0 is the root, its own parent
     cap_ok = d_max >= (m - 1).bit_length() + 1
     if cap_ok:
-        if m == 1:
-            leaves = [0]
-        else:
-            leaves = _grow_full_binary(parent, 0, m)
+        leaves = _grow_full_binary(parent, 0, m)
     else:
         width = 1 << (d_max - 2)
         leaves = []

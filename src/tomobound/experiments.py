@@ -125,7 +125,8 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
     Per trial one server is drawn from the non-dangling nodes (or fixed via the
     spec), m clients are drawn from the dangling nodes -- all nodes when none
     dangle -- restricted to the d_max radius when one is given. Trials that
-    cannot seat m clients are skipped and counted.
+    cannot seat m clients are skipped and counted. Each m row's single-server
+    bound is computed before its trials, so a bad d_max fails before any work.
     """
     if not spec.m_values:
         raise ValueError("random_placement needs m_values")
@@ -140,6 +141,7 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
     d_label = spec.d_max if spec.d_max is not None else ""
     rows = []
     for m in spec.m_values:
+        ub = None if spec.d_max is None else bound_single_server(m, g.node_count, spec.d_max).bound
         best = -1
         used = 0
         skipped = 0
@@ -149,7 +151,10 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
             parent = shortest_path_tree(g, server)
             eligible = [u for u in eligible_base if u != server and u in parent]
             if spec.d_max is not None:
-                eligible = [u for u in eligible if len(walk_to_root(parent, u)) <= spec.d_max]
+                size: dict[int, int] = {}  # tree-path node counts; the map lists parents first
+                for v, u in parent.items():
+                    size[v] = 1 if v == u else size[u] + 1
+                eligible = [u for u in eligible if size[u] <= spec.d_max]
             if len(eligible) < m:
                 skipped += 1
                 continue
@@ -164,8 +169,7 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
         rows.append((m, d_label, "random-placement", "trials_used", used))
         rows.append((m, d_label, "random-placement", "trials_skipped", skipped))
         rows.append((m, d_label, "random-placement", "max_path_len", worst_len))
-        if spec.d_max is not None:
-            ub = bound_single_server(m, g.node_count, spec.d_max).bound
+        if ub is not None:
             rows.append((m, d_label, "single-server", "bound", ub))
     return rows
 

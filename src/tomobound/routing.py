@@ -7,7 +7,6 @@ sub-path traversed in opposite directions still counts as the same route.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -143,38 +142,36 @@ def q_lower_bound(ps: PathSet) -> int:
     return worst
 
 
-def _edge_costs(g: Graph) -> dict[tuple[int, int], int]:
-    """Deterministic edge costs making every shortest path unique.
-
-    Each edge costs hop_unit + 2^rank with hop_unit = 2^|E|, so path cost
-    compares by hop count first and then by the edge set itself; two distinct
-    simple paths always differ in some edge, hence in cost. Sub-paths of the
-    unique cheapest path are themselves unique cheapest, which is exactly the
-    consistent-routing property.
-    """
-    hop_unit = 1 << len(g.edges)
-    return {e: hop_unit | (1 << rank) for rank, e in enumerate(sorted(g.edges))}
-
-
 def shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
-    """Parent map of the unique-cost shortest-path tree rooted at ``src``."""
-    costs = _edge_costs(g)
+    """Parent map of the canonical shortest-path tree rooted at ``src``.
+
+    A canonical path has the fewest hops and, among those, the smallest edge
+    set, read as the integer with bit ``rank(e)`` set for each edge e in sorted
+    edge order; distinct simple paths differ in an edge, so it is unique. Its
+    sub-paths are canonical, which is the consistent-routing property: a
+    shortest a-b route with a smaller integer, spliced into a shortest s-t path
+    P through a and b, gives an s-t walk as short as P, hence a simple path,
+    whose integer is smaller than P's. So the search runs breadth-first by hop
+    layers, each node keeping its tree path's edge bitmask, and a node v first
+    reached in layer d takes the layer d-1 neighbour u with the smallest
+    ``mask(u) | bit(u, v)``. The map lists every node reachable from ``src``
+    after its parent, with ``src`` first as its own parent.
+    """
+    bit = {e: 1 << rank for rank, e in enumerate(sorted(g.edges))}
     adj = g.adjacency()
-    dist: dict[int, int] = {src: 0}
     parent: dict[int, int] = {src: src}
-    heap: list[tuple[int, int]] = [(0, src)]
-    done: set[int] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v in adj[u]:
-            nd = d + costs[_norm_edge(u, v)]
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
+    layer: dict[int, int] = {src: 0}  # node -> edge mask of its tree path
+    while layer:
+        nxt: dict[int, int] = {}
+        for u, mask in layer.items():
+            for v in adj[u]:
+                if v in parent and v not in nxt:
+                    continue
+                key = mask | bit[_norm_edge(u, v)]
+                if v not in nxt or key < nxt[v]:
+                    nxt[v] = key
+                    parent[v] = u
+        layer = nxt
     return parent
 
 

@@ -7,11 +7,12 @@ are checked against something they do not share code with.
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations
 
 import tomobound.identifiability
-from tomobound.model import MonitoringPath, PathSet, build_graph
+from tomobound.model import Graph, MonitoringPath, PathSet, _norm_edge, build_graph
 from tomobound.identifiability import TestingMatrix
 
 # keep pytest from collecting the library function whose name matches test_*
@@ -87,3 +88,39 @@ def random_connected_graph(rng: random.Random, max_n: int = 40):
         a, b = rng.sample(range(n), 2)
         edges.add((min(a, b), max(a, b)))
     return build_graph(sorted(edges), node_count=n)
+
+
+def _edge_costs(g: Graph) -> dict[tuple[int, int], int]:
+    """Deterministic edge costs making every shortest path unique.
+
+    Each edge costs hop_unit + 2^rank with hop_unit = 2^|E|, so path cost
+    compares by hop count first and then by the edge set itself; two distinct
+    simple paths always differ in some edge, hence in cost. Sub-paths of the
+    unique cheapest path are themselves unique cheapest, which is exactly the
+    consistent-routing property.
+    """
+    hop_unit = 1 << len(g.edges)
+    return {e: hop_unit | (1 << rank) for rank, e in enumerate(sorted(g.edges))}
+
+
+def reference_shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
+    """Weighted-Dijkstra oracle for ``routing.shortest_path_tree``: the hop
+    count and the edge-set order are folded into one |E|-bit cost per edge."""
+    costs = _edge_costs(g)
+    adj = g.adjacency()
+    dist: dict[int, int] = {src: 0}
+    parent: dict[int, int] = {src: src}
+    heap: list[tuple[int, int]] = [(0, src)]
+    done: set[int] = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v in adj[u]:
+            nd = d + costs[_norm_edge(u, v)]
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    return parent

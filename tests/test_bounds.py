@@ -154,6 +154,11 @@ class TestSingleServer:
         with pytest.raises(ValueError):
             bound_single_server(4, 10, 1)
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match=r"n must be >= 0, got n=-1"):
+            bound_single_server(4, -1, 4)
+        assert bound_single_server(4, 0, 4).bound == 0
+
 
 class TestMultiServer:
     def test_fixed_derived_example(self):

@@ -60,6 +60,18 @@ class TestBoundCommand:
         assert code == 2
         assert "integer" in err
 
+    @pytest.mark.parametrize(
+        "scenario, flags",
+        [("consistent", ["--dbar", "4"]), ("single-server", ["--dmax", "4"]), ("arbitrary-unbounded", [])],
+    )
+    def test_negative_n_rejected(self, capsys, scenario, flags):
+        code, out, err = run_cli(
+            capsys, "bound", "--scenario", scenario, "--m", "4", *flags, "--n", "-5"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be >= 0, got n=-5\n"
+
     def test_dbar_dmax_conflict(self, capsys):
         code, _, err = run_cli(
             capsys, "bound", "--scenario", "consistent", "--m", "4",
@@ -276,3 +288,15 @@ class TestExperimentCommand:
         assert code == 0
         assert target.exists()
         assert "phi1" in target.read_text()
+
+    def test_json_out_without_out(self, tmp_path, capsys):
+        args = ["experiment", "--name", "tightness", "--m", "2..3", "--d", "1,2"]
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == 0
+        target = tmp_path / "out.json"
+        code, out, _ = run_cli(capsys, *args, "--json-out", str(target))
+        assert code == 0
+        assert out == plain  # the CSV still goes to stdout
+        data = json.loads(target.read_text())
+        assert data["experiment"] == "tightness"
+        assert len(data["rows"]) == len(plain.splitlines()) - 2

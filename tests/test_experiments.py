@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tomobound import experiments
+from tomobound.cli import main
 from tomobound.bounds import bound, bound_single_server
 from tomobound.experiments import ExperimentSpec, ResultTable, run_experiment
 from tomobound.routing import shortest_path_tree
@@ -100,21 +101,39 @@ class TestRandomPlacement:
         phi = rows_by(table, "random-placement", "phi1_max")
         assert phi[5] <= bound_single_server(5, 108, lens[5]).bound
 
-    @pytest.mark.parametrize("d_max", [None, 3])
-    def test_one_spt_per_trial(self, monkeypatch, d_max):
-        builds = []
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Sources of the SPTs that random_placement builds."""
+        sources = []
 
         def counting_spt(g, src):
-            builds.append(src)
+            sources.append(src)
             return shortest_path_tree(g, src)
 
         monkeypatch.setattr(experiments, "shortest_path_tree", counting_spt)
+        return sources
+
+    @pytest.mark.parametrize("d_max", [None, 3])
+    def test_one_spt_per_trial(self, builds, d_max):
         spec = ExperimentSpec(name="random_placement", m_values=(4, 8, 48), trials=6, seed=7, d_max=d_max)
         table = run_experiment(spec)
         skipped = rows_by(table, "random-placement", "trials_skipped")
         if d_max is not None:
             assert sum(skipped.values()) > 0  # skipped trials build their SPT too
         assert len(builds) == spec.trials * len(spec.m_values)
+
+    @pytest.mark.parametrize(
+        "d_max, message",
+        [
+            ("0", "d_max must be >= 1"),
+            ("1", "d_max must be >= 2 when m > 1 (a root-to-leaf path needs two nodes)"),
+        ],
+    )
+    def test_bad_dmax_fails_before_any_trial(self, builds, capsys, d_max, message):
+        code = main(["experiment", "--name", "random_placement", "--m", "4", "--dmax", d_max])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert builds == []
 
 
 class TestFatTreeId:

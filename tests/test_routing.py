@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, reference_shortest_path_tree
 from tomobound.fixtures import load_instance
 from tomobound.identifiability import column_run_counts, encoding_string, path_matrix, testing_matrix
 from tomobound.model import PathSet, build_graph
@@ -12,7 +12,9 @@ from tomobound.routing import (
     check_consistency,
     consistent_shortest_paths,
     q_lower_bound,
+    shortest_path_tree,
     verify_segmentation,
+    walk_to_root,
 )
 
 
@@ -217,3 +219,35 @@ def test_router_always_consistent_property(seed):
     ps = consistent_shortest_paths(g, pairs)
     assert check_consistency(ps).consistent
     assert q_lower_bound(ps) == 1
+
+
+@st.composite
+def graphs(draw):
+    """Small graphs, often disconnected, with isolated nodes and many equal-hop ties."""
+    n = draw(st.integers(1, 16))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return build_graph(draw(st.lists(pairs, max_size=3 * n)), node_count=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_spt_matches_dijkstra_oracle(g):
+    for src in range(g.node_count):
+        parent = shortest_path_tree(g, src)
+        assert parent == reference_shortest_path_tree(g, src)
+        seen = set()
+        for v, u in parent.items():
+            assert u in seen or u == v == src
+            seen.add(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_spt_hop_counts_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    ref = nx.Graph(g.edges)
+    ref.add_nodes_from(range(g.node_count))
+    for src in range(g.node_count):
+        parent = shortest_path_tree(g, src)
+        hops = {v: len(walk_to_root(parent, v)) - 1 for v in parent}
+        assert hops == nx.single_source_shortest_path_length(ref, src)
