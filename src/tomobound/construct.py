@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bounds import Rational, bound_from_nmax, bound_single_server, i_max
+from .bounds import Rational, Scenario, bound, bound_single_server
 from .identifiability import encoding_string, testing_matrix
 from .model import Graph, MonitoringPath, PathSet, build_graph
 from .routing import walk_to_root
 
-_ENUMERATION_GUARD = 2_000_000  # candidate subsets examined per emitted encoding
+_ENUMERATION_GUARD = 2_000_000  # candidates tried over a whole top-layer search
 
 
 class ConstructionError(RuntimeError):
@@ -56,15 +56,17 @@ def _loads(members: frozenset[int], m: int) -> tuple[int, ...]:
     return tuple(sum(1 for b in members if b >> i & 1) for i in range(m))
 
 
+def _mask(indices: Iterable[int]) -> int:
+    """Encoding with exactly the given bits set."""
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
 def _layer(m: int, k: int) -> list[int]:
     """All encodings with exactly k ones, in ascending-path-index (combination) order."""
-    out = []
-    for subset in combinations(range(m), k):
-        bits = 0
-        for i in subset:
-            bits |= 1 << i
-        out.append(bits)
-    return out
+    return [_mask(subset) for subset in combinations(range(m), k)]
 
 
 def path_completion(members: frozenset[int], m: int, d: Sequence[int]) -> frozenset[int]:
@@ -90,9 +92,7 @@ def path_completion(members: frozenset[int], m: int, d: Sequence[int]) -> frozen
         raise ConstructionError(
             f"{len(short)} overlength paths cannot be completed from crossing-{top} members"
         )
-    s_mask = 0
-    for k in short:
-        s_mask |= 1 << k
+    s_mask = _mask(short)
     for candidate in _layer(m, want):
         if candidate & s_mask:
             continue
@@ -107,62 +107,49 @@ def path_completion(members: frozenset[int], m: int, d: Sequence[int]) -> frozen
 
 def _arrange_top_layer(
     m: int, imax: int, residual: list[int], taken: set[int], target: int
-) -> list[int]:
-    """Emit ``target`` distinct crossing-(imax+1) encodings without exceeding
-    any path's residual target length.
+) -> None:
+    """Add ``target`` distinct crossing-(imax+1) encodings to ``taken`` without
+    exceeding any path's residual target length.
 
     Candidates at each step are ordered by largest residual profile, ties by
     path index, and the search backtracks on dead ends (greedy alone can trap
     itself, e.g. six paths of residual 2 where the lexicographic choice leaves
-    only an already-used pair). The first solution in this order is returned,
-    so the result is deterministic.
+    only an already-used pair). The first solution in this order is taken, so
+    the result is deterministic. The search is depth-first over an explicit
+    stack holding, per placed encoding, the candidates not yet tried at its step.
     """
     width = imax + 1
-    picked: list[int] = []
+    picked: list[tuple[int, ...]] = []
+    pending: list[Iterator[tuple[int, ...]]] = []
     examined = 0
-
-    def step() -> bool:
-        nonlocal examined
-        if len(picked) == target:
-            return True
+    while len(picked) < target:
         eligible = [k for k in range(m) if residual[k] >= 1]
-        if len(eligible) < width:
-            return False
-        candidates = []
-        for subset in combinations(eligible, width):
-            bits = 0
-            for k in subset:
-                bits |= 1 << k
-            if bits in taken:
-                continue
-            profile = tuple(sorted((residual[k] for k in subset), reverse=True))
-            candidates.append((tuple(-x for x in profile), subset, bits))
-        candidates.sort()
-        for _, subset, bits in candidates:
-            examined += 1
-            if examined > _ENUMERATION_GUARD:
+        candidates = [s for s in combinations(eligible, width) if _mask(s) not in taken]
+        # stable over the lexicographic combinations, so equal profiles keep
+        # their path-index order
+        candidates.sort(key=lambda s: sorted(-residual[k] for k in s))
+        pending.append(iter(candidates))
+        while (subset := next(pending[-1], None)) is None:
+            pending.pop()
+            if not pending:
                 raise ConstructionError(
-                    "crossing-arrangement search space too large; "
-                    "reduce m or the requested average length"
+                    f"arrangement cannot place {target} distinct top-layer encodings "
+                    "within the per-path length targets"
                 )
-            for k in subset:
-                residual[k] -= 1
-            taken.add(bits)
-            picked.append(bits)
-            if step():
-                return True
-            picked.pop()
-            taken.discard(bits)
-            for k in subset:
+            undone = picked.pop()
+            taken.discard(_mask(undone))
+            for k in undone:
                 residual[k] += 1
-        return False
-
-    if not step():
-        raise ConstructionError(
-            f"arrangement cannot place {target} distinct top-layer encodings "
-            "within the per-path length targets"
-        )
-    return picked
+        examined += 1
+        if examined > _ENUMERATION_GUARD:
+            raise ConstructionError(
+                "crossing-arrangement search space too large; "
+                "reduce m or the requested average length"
+            )
+        for k in subset:
+            residual[k] -= 1
+        taken.add(_mask(subset))
+        picked.append(subset)
 
 
 def _instance(
@@ -199,12 +186,8 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
             "longer paths would be forced to revisit duplicate encodings, "
             "so the bound cannot be met tightly"
         )
-    nmax = m * dbar
-    if nmax.denominator != 1:
-        raise ValueError(f"m*dbar = {nmax} is not an integer")
-    nmax = int(nmax)
-    imax = i_max(m, nmax)
-    psi = bound_from_nmax(m, None, nmax)
+    budget = bound(Scenario.ARBITRARY_AVG, m, None, dbar)
+    nmax, imax, psi = budget.n_max, budget.i_max, budget.bound
 
     floor_d = int(dbar)
     m1 = int(m * (dbar - floor_d))
@@ -329,10 +312,7 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
     common root joins floor(m / 2^(d_max-2)) perfect subtrees of maximal depth
     plus one smaller full subtree for the leftover leaves.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if d_max < 2 and m > 1:
-        raise ValueError("d_max must be >= 2 when m > 1")
+    expected = bound_single_server(m, None, d_max).bound
     parent: list[int] = [0]  # node 0 is the root, its own parent
     cap_ok = d_max >= (m - 1).bit_length() + 1
     if cap_ok:
@@ -350,7 +330,6 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
             parent.append(0)
             leaves.extend(_grow_full_binary(parent, sub, rest))
     n = len(parent)
-    expected = bound_single_server(m, None, d_max).bound
     if n != expected:
         raise ConstructionError(f"tree has {n} nodes, single-server bound is {expected}")
     meta = {"kind": "monitoring-tree", "m": m, "d_max": d_max, "bound": expected}

@@ -11,7 +11,9 @@ import heapq
 import random
 from itertools import combinations
 
+import tomobound.construct
 import tomobound.identifiability
+from tomobound.construct import ConstructionError
 from tomobound.model import Graph, MonitoringPath, PathSet, _norm_edge, build_graph
 from tomobound.identifiability import TestingMatrix
 
@@ -124,3 +126,63 @@ def reference_shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
                 parent[v] = u
                 heapq.heappush(heap, (nd, v))
     return parent
+
+
+def reference_arrange_top_layer(
+    m: int, imax: int, residual: list[int], taken: set[int], target: int
+) -> list[int]:
+    """Emit ``target`` distinct crossing-(imax+1) encodings without exceeding
+    any path's residual target length.
+
+    Candidates at each step are ordered by largest residual profile, ties by
+    path index, and the search backtracks on dead ends (greedy alone can trap
+    itself, e.g. six paths of residual 2 where the lexicographic choice leaves
+    only an already-used pair). The first solution in this order is returned,
+    so the result is deterministic.
+    """
+    width = imax + 1
+    picked: list[int] = []
+    examined = 0
+
+    def step() -> bool:
+        nonlocal examined
+        if len(picked) == target:
+            return True
+        eligible = [k for k in range(m) if residual[k] >= 1]
+        if len(eligible) < width:
+            return False
+        candidates = []
+        for subset in combinations(eligible, width):
+            bits = 0
+            for k in subset:
+                bits |= 1 << k
+            if bits in taken:
+                continue
+            profile = tuple(sorted((residual[k] for k in subset), reverse=True))
+            candidates.append((tuple(-x for x in profile), subset, bits))
+        candidates.sort()
+        for _, subset, bits in candidates:
+            examined += 1
+            if examined > tomobound.construct._ENUMERATION_GUARD:
+                raise ConstructionError(
+                    "crossing-arrangement search space too large; "
+                    "reduce m or the requested average length"
+                )
+            for k in subset:
+                residual[k] -= 1
+            taken.add(bits)
+            picked.append(bits)
+            if step():
+                return True
+            picked.pop()
+            taken.discard(bits)
+            for k in subset:
+                residual[k] += 1
+        return False
+
+    if not step():
+        raise ConstructionError(
+            f"arrangement cannot place {target} distinct top-layer encodings "
+            "within the per-path length targets"
+        )
+    return picked

@@ -220,6 +220,35 @@ class TestConstructCommand:
         assert code == 2
         assert "2" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["monitoring-tree", "--m", "1", "--dmax", "0"], "d_max must be >= 1"),
+            (
+                ["monitoring-tree", "--m", "4", "--dmax", "1"],
+                "d_max must be >= 2 when m > 1 (a root-to-leaf path needs two nodes)",
+            ),
+            (
+                ["ica", "--m", "4", "--dbar", "10/3"],
+                "m*d = 40/3 is not an integer; the encoding budget N_max must be integral",
+            ),
+        ],
+    )
+    def test_parameter_errors_name_the_parameter(self, tmp_path, capsys, argv, message):
+        code, out, err = run_cli(capsys, "construct", *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_ica_with_deep_top_layer(self, tmp_path, capsys):
+        # 1677 encodings, 1102 of them placed by the top-layer search
+        code, out, _ = run_cli(
+            capsys, "construct", "ica", "--m", "15", "--dbar", "400", "--out", str(tmp_path)
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["nodes"] == data["phi1"] == 1677
+
 
 class TestExperimentCommand:
     def test_csv_to_stdout(self, capsys):

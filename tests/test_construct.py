@@ -1,8 +1,14 @@
+import inspect
+import sys
 from fractions import Fraction
 from hashlib import sha256
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tomobound.construct
+from conftest import reference_arrange_top_layer
 from tomobound.bounds import bound, bound_from_nmax, bound_single_server, z_fb
 from tomobound.construct import (
     ConstructionError,
@@ -14,6 +20,7 @@ from tomobound.construct import (
     monitoring_tree,
     path_completion,
 )
+from tomobound.cli import main
 from tomobound.identifiability import (
     column_run_counts,
     one_identifiable_set,
@@ -39,6 +46,38 @@ def loads(members, m: int) -> tuple[int, ...]:
 def phi1(inst) -> int:
     t = testing_matrix(inst.paths, inst.graph.node_count)
     return one_identifiable_set(t)[0]
+
+
+def ica_outcome(m: int, dbar: Fraction):
+    """Everything ``ica`` returns, or the type and text of the error it raises."""
+    try:
+        inst = ica(m, dbar)
+    except (ValueError, ConstructionError) as exc:
+        return type(exc).__name__, str(exc)
+    return inst.graph, inst.paths, inst.encodings, dict(inst.meta)
+
+
+def top_layer_outcome(arrange, m, imax, residual, taken, target):
+    """The state ``arrange`` leaves behind, or the text of the error it raises."""
+    residual, taken = list(residual), set(taken)
+    try:
+        arrange(m, imax, residual, taken, target)
+    except ConstructionError as exc:
+        return str(exc)
+    return residual, taken
+
+
+@st.composite
+def top_layer_states(draw):
+    """Small top-layer searches: random residual lengths, a random set of
+    already-taken top-layer encodings and a target that may be unreachable."""
+    m = draw(st.integers(2, 5))
+    imax = draw(st.integers(0, m - 2))
+    residual = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    top = [sum(1 << k for k in s) for s in combinations(range(m), imax + 1)]
+    taken = draw(st.sets(st.sampled_from(top)))
+    target = draw(st.integers(1, 4))
+    return m, imax, residual, taken, target
 
 
 class TestIca:
@@ -107,6 +146,56 @@ class TestIca:
     def test_rejects_m1(self):
         with pytest.raises(ValueError):
             ica(1, 1)
+
+    # these two need over 1.2M backtracking steps each
+    SLOW = {(6, Fraction(17, 3)), (7, Fraction(47, 7))}
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_top_layer_search_matches_recursive_reference(self, m, monkeypatch):
+        # every dbar <= 8 with m*dbar integral, including those ica rejects
+        grid = [Fraction(j, m) for j in range(m, 8 * m + 1)]
+        grid = [d for d in grid if (m, d) not in self.SLOW]
+        got = [ica_outcome(m, d) for d in grid]
+        monkeypatch.setattr(tomobound.construct, "_arrange_top_layer", reference_arrange_top_layer)
+        assert got == [ica_outcome(m, d) for d in grid]
+
+    def test_enumeration_guard_matches_recursive_reference(self, monkeypatch):
+        # m=5, dbar=23/5 backtracks 361 times, so a guard of 100 stops it
+        monkeypatch.setattr(tomobound.construct, "_ENUMERATION_GUARD", 100)
+        with pytest.raises(ConstructionError, match="search space too large") as head:
+            ica(5, Fraction(23, 5))
+        monkeypatch.setattr(tomobound.construct, "_arrange_top_layer", reference_arrange_top_layer)
+        with pytest.raises(ConstructionError) as reference:
+            ica(5, Fraction(23, 5))
+        assert str(head.value) == str(reference.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(top_layer_states())
+    def test_top_layer_state_matches_recursive_reference(self, state):
+        head = top_layer_outcome(tomobound.construct._arrange_top_layer, *state)
+        assert head == top_layer_outcome(reference_arrange_top_layer, *state)
+
+    def test_deep_top_layer_needs_no_recursion(self):
+        # 252 top-layer encodings, each of which was one stack frame deeper
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            inst = ica(12, 151)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(inst.encodings) == bound_from_nmax(12, None, 12 * 151)
+
+    def test_full_size_files_unchanged(self, tmp_path, capsys):
+        # sha256 of the files written by ``construct ica --m 16 --dbar 200``,
+        # recorded before the top-layer search was written as a loop
+        assert main(["construct", "ica", "--m", "16", "--dbar", "200", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        digests = {
+            "ica.edges": "a94cf3e90aaddf32be83fe383c547a6a09fa427754a3befe032500f38b2ad9a8",
+            "ica.paths": "5940a01db1471bbdd87512ffe9f1adf63c0f4b318de174267733258ff8e318bf",
+        }
+        for name, digest in digests.items():
+            assert sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestPathCompletion:
