@@ -176,14 +176,14 @@ def _budget(
 
 
 def _nmax_multi_fixed(m_s: tuple[int, ...], m: int, d: Fraction) -> int:
-    """Literal tree-budget sum; a zero-client entry contributes -1, exactly as
-    the formula reads, which is what keeps the flexible relaxation dominant
-    over every split. Degenerate negative totals clamp to an empty budget."""
-    if any(v < 0 for v in m_s):
-        raise ValueError("per-server client counts must be nonnegative")
+    """Sum of the per-server tree budgets psi_tree(m_s) + 2 m_s (m - m_s),
+    capped by m*d. The theorem needs every server to have a client.
+    Degenerate negative totals clamp to an empty budget."""
+    if any(v < 1 for v in m_s):
+        raise ValueError(f"every per-server client count must be >= 1, got m_s={list(m_s)}")
     if sum(m_s) < m:
         raise ValueError(f"m={m} clients exceed the total client slots sum(m_s)={sum(m_s)}")
-    tree_side = sum((v * v + 3 * v - 2) // 2 + 2 * v * (m - v) for v in m_s)
+    tree_side = sum(psi_tree(v) + 2 * v * (m - v) for v in m_s)
     return max(0, min(_integral_budget(m, d), tree_side))
 
 

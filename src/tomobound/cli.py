@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,6 @@ from .identifiability import (
     OracleTooLargeError,
     count_k_identifiable,
     one_identifiable_set,
-    path_matrix,
     testing_matrix,
 )
 from .model import (
@@ -68,6 +68,8 @@ def _int_range(text: str) -> tuple[int, ...]:
         lo, hi = (int(x) for x in text.split("..", 1))
         if lo > hi:
             raise argparse.ArgumentTypeError(f"reversed range {text!r}: {lo} > {hi}")
+        if lo < 1:
+            raise argparse.ArgumentTypeError(f"range {text!r} starts below 1")
         return tuple(range(lo, hi + 1))
     return _int_list(text)
 
@@ -135,13 +137,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         phi1, ident = one_identifiable_set(t)
         report["phi1"] = phi1
         report["identifiable"] = sorted(ident)
-        report["per_path_distinct_encodings"] = [
-            path_matrix(paths, t, i).distinct_row_count() for i in range(paths.m)
-        ]
+        report["per_path_distinct_encodings"] = [len({t.columns[u] for u in p.nodes}) for p in paths]
         if paths.all_simple():
-            consistency = check_consistency(paths)
+            consistency = check_consistency(paths, limit=20)
             report["consistent"] = consistency.consistent
-            report["consistency_violations"] = [str(v) for v in consistency.violations[:20]]
+            report["consistency_violations"] = [str(v) for v in consistency.violations]
             report["q_lower_bound"] = q_lower_bound(paths)
         else:
             report["consistent"] = None
@@ -307,6 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse reads the '-2..3' of '--m -2..3' as an option
+        if argv[i - 1].startswith("--") and re.match(r"-\d+\.\.", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -7,10 +7,11 @@ sub-path traversed in opposite directions still counts as the same route.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
-from .identifiability import column_run_counts, path_matrix, testing_matrix
 from .model import Graph, MonitoringPath, PathSet, _norm_edge
 
 
@@ -44,33 +45,52 @@ def _require_simple(ps: PathSet) -> None:
             raise ValueError(f"path {i} repeats a node; consistency is defined on simple paths")
 
 
-def check_consistency(ps: PathSet) -> ConsistencyReport:
-    """Compare the sub-path between every shared node pair of every path pair.
-
-    The u-to-v sub-path of the second path is reversed when it traverses v
-    first. Every counterexample is reported, not just the first.
-    """
+def _shared_positions(ps: PathSet, later_only: bool):
+    """Per path i, its nodes and, for each path k that crosses it (k > i only
+    when ``later_only``), the positions in path i of their shared nodes."""
     _require_simple(ps)
+    index: dict[int, list[int]] = {}  # node -> the paths that cross it, in path order
+    for i, p in enumerate(ps.paths):
+        for u in p.nodes:
+            index.setdefault(u, []).append(i)
+    for i, p in enumerate(ps.paths):
+        shared: dict[int, list[int]] = {}
+        for a, u in enumerate(p.nodes):
+            crossing = index[u]
+            for k in crossing[bisect_right(crossing, i) if later_only else 0 :]:
+                shared.setdefault(k, []).append(a)
+        yield i, p.nodes, shared
+
+
+def check_consistency(ps: PathSet, limit: int | None = None) -> ConsistencyReport:
+    """Every shared node pair of every path pair whose sub-paths differ, in
+    (i, j, u, v) order, the second sub-path read from u to v; with ``limit``
+    set, only the first ``limit`` of them.
+
+    Two simple paths route alike exactly when their shared nodes are
+    consecutive in the first and step by +1 throughout, or by -1 throughout,
+    in the second (the run test); only pairs that fail it are compared."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got limit={limit}")
     positions = [{u: idx for idx, u in enumerate(p.nodes)} for p in ps.paths]
     violations: list[ConsistencyViolation] = []
-    for i in range(ps.m):
-        for j in range(i + 1, ps.m):
-            shared = sorted(
-                positions[i].keys() & positions[j].keys(), key=positions[i].__getitem__
-            )
-            for a in range(len(shared)):
-                for b in range(a + 1, len(shared)):
-                    u, v = shared[a], shared[b]
-                    sub_i = ps.paths[i].nodes[positions[i][u] : positions[i][v] + 1]
-                    pj_u, pj_v = positions[j][u], positions[j][v]
-                    if pj_u <= pj_v:
-                        sub_j = ps.paths[j].nodes[pj_u : pj_v + 1]
-                    else:
-                        sub_j = tuple(reversed(ps.paths[j].nodes[pj_v : pj_u + 1]))
-                    if sub_i != sub_j:
-                        violations.append(
-                            ConsistencyViolation(i, j, u, v, sub_i, sub_j)
-                        )
+    for i, nodes, shared in _shared_positions(ps, later_only=True):
+        for j in sorted(shared):
+            run = shared[j]
+            if len(run) < 2:
+                continue
+            at_j = [positions[j][nodes[a]] for a in run]
+            # distinct positions that step by 1 cannot turn back, so this is the run test
+            if run[-1] - run[0] == len(run) - 1 and all(abs(y - x) == 1 for x, y in zip(at_j, at_j[1:])):
+                continue
+            for a, b in combinations(range(len(run)), 2):
+                sub_i = nodes[run[a] : run[b] + 1]
+                lo, hi = sorted((at_j[a], at_j[b]))
+                sub_j = ps.paths[j].nodes[lo : hi + 1][:: 1 if lo == at_j[a] else -1]
+                if sub_i != sub_j:
+                    violations.append(ConsistencyViolation(i, j, sub_i[0], sub_i[-1], sub_i, sub_j))
+                    if len(violations) == limit:
+                        return ConsistencyReport(consistent=False, violations=tuple(violations))
     return ConsistencyReport(consistent=not violations, violations=tuple(violations))
 
 
@@ -84,10 +104,6 @@ class Segmentation:
     """
 
     cuts: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def no_cuts(cls, ps: PathSet) -> "Segmentation":
-        return cls(cuts=tuple(() for _ in ps.paths))
 
     @classmethod
     def at_midpoints(cls, ps: PathSet) -> "Segmentation":
@@ -127,18 +143,18 @@ def verify_segmentation(ps: PathSet, seg: Segmentation, q: int) -> bool:
             return False
         all_segments.extend(segments)
     segment_set = PathSet(tuple(MonitoringPath(s) for s in all_segments))
-    return check_consistency(segment_set).consistent
+    return check_consistency(segment_set, limit=1).consistent
 
 
 def q_lower_bound(ps: PathSet) -> int:
-    """Necessary q for any valid segmentation: the worst run count of ones over
-    all path-matrix columns. Witness only; no segmentation search is attempted."""
-    _require_simple(ps)
-    n = ps.max_node_id() + 1
-    t = testing_matrix(ps, n)
+    """Necessary q for any valid segmentation: the most maximal runs of nodes
+    that one path shares with another (itself included), i.e. the worst run
+    count of ones over all path-matrix columns. Witness only; no search."""
     worst = 1
-    for i in range(ps.m):
-        worst = max(worst, max(column_run_counts(path_matrix(ps, t, i))))
+    for _, _, shared in _shared_positions(ps, later_only=False):
+        for run in shared.values():
+            if run[-1] - run[0] >= len(run):  # a gap, so more than one run
+                worst = max(worst, 1 + sum(y - x > 1 for x, y in zip(run, run[1:])))
     return worst
 
 

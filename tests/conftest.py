@@ -15,7 +15,8 @@ import tomobound.construct
 import tomobound.identifiability
 from tomobound.construct import ConstructionError
 from tomobound.model import Graph, MonitoringPath, PathSet, _norm_edge, build_graph
-from tomobound.identifiability import TestingMatrix
+from tomobound.identifiability import TestingMatrix, column_run_counts, path_matrix, testing_matrix
+from tomobound.routing import ConsistencyReport, ConsistencyViolation, _require_simple
 
 # keep pytest from collecting the library function whose name matches test_*
 tomobound.identifiability.testing_matrix.__test__ = False
@@ -186,3 +187,44 @@ def reference_arrange_top_layer(
             "within the per-path length targets"
         )
     return picked
+
+
+def reference_check_consistency(ps: PathSet) -> ConsistencyReport:
+    """Compare the sub-path between every shared node pair of every path pair.
+
+    The u-to-v sub-path of the second path is reversed when it traverses v
+    first. Every counterexample is reported, not just the first.
+    """
+    _require_simple(ps)
+    positions = [{u: idx for idx, u in enumerate(p.nodes)} for p in ps.paths]
+    violations: list[ConsistencyViolation] = []
+    for i in range(ps.m):
+        for j in range(i + 1, ps.m):
+            shared = sorted(
+                positions[i].keys() & positions[j].keys(), key=positions[i].__getitem__
+            )
+            for a in range(len(shared)):
+                for b in range(a + 1, len(shared)):
+                    u, v = shared[a], shared[b]
+                    sub_i = ps.paths[i].nodes[positions[i][u] : positions[i][v] + 1]
+                    pj_u, pj_v = positions[j][u], positions[j][v]
+                    if pj_u <= pj_v:
+                        sub_j = ps.paths[j].nodes[pj_u : pj_v + 1]
+                    else:
+                        sub_j = tuple(reversed(ps.paths[j].nodes[pj_v : pj_u + 1]))
+                    if sub_i != sub_j:
+                        violations.append(
+                            ConsistencyViolation(i, j, u, v, sub_i, sub_j)
+                        )
+    return ConsistencyReport(consistent=not violations, violations=tuple(violations))
+
+
+def reference_q_lower_bound(ps: PathSet) -> int:
+    """The worst run count of ones over all path-matrix columns, at least 1."""
+    _require_simple(ps)
+    n = ps.max_node_id() + 1
+    t = testing_matrix(ps, n)
+    worst = 1
+    for i in range(ps.m):
+        worst = max(worst, max(column_run_counts(path_matrix(ps, t, i))))
+    return worst

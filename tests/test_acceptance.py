@@ -149,9 +149,9 @@ def test_criterion_7_multi_server():
     from itertools import combinations_with_replacement
 
     for m in range(1, 13):
-        for s in range(1, 5):
+        for s in range(1, min(m, 4) + 1):  # every server has a client
             flexible = bound_multi_flexible(m, s, None, 10**6).bound
-            for split in combinations_with_replacement(range(m + 1), s):
+            for split in combinations_with_replacement(range(1, m + 1), s):
                 if sum(split) == m:
                     assert bound_multi_fixed(split, m, None, 10**6).bound <= flexible, (m, s, split)
     report(7, "flexible(S=1) == fixed((m,)) for m<=12; (m=6,S=2,d=20) gives N=52/bound=26 "

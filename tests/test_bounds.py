@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -18,6 +19,8 @@ from tomobound.bounds import (
     psi_tree,
     z_fb,
 )
+from tomobound.identifiability import one_identifiable_set, testing_matrix
+from tomobound.model import PathSet
 
 
 def i_max_by_scan(m: int, nmax: int) -> int:
@@ -184,13 +187,13 @@ class TestMultiServer:
         assert r.bound == bound_multi_fixed((3, 3), 6, None, 20).bound == 26
 
     def test_flexible_dominates_all_splits(self):
-        # relaxation dominates every integer split summing to m, through the
-        # whole pipeline
+        # relaxation dominates every positive integer split summing to m,
+        # through the whole pipeline (every server has a client, so s <= m)
         for m in range(1, 13):
-            for s in range(1, 5):
+            for s in range(1, min(m, 4) + 1):
                 flexible_n = n_max(Scenario.MULTI_FLEXIBLE, m, 10**6, s=s)
                 flexible_b = bound_multi_flexible(m, s, None, 10**6).bound
-                for split in combinations_with_replacement(range(m + 1), s):
+                for split in combinations_with_replacement(range(1, m + 1), s):
                     if sum(split) != m:
                         continue
                     assert n_max(Scenario.MULTI_FIXED, m, 10**6, m_s=split) <= flexible_n
@@ -201,16 +204,29 @@ class TestMultiServer:
         # that split is integral; for other (m, S) it stays a strict relaxation
         # (e.g. m=6, S=4 gives 30 vs 29 over integer splits)
         for m in range(1, 13):
-            for s in range(1, 5):
+            for s in range(1, min(m, 4) + 1):
                 best = max(
                     bound_multi_fixed(split, m, None, 10**6).bound
-                    for split in combinations_with_replacement(range(m + 1), s)
+                    for split in combinations_with_replacement(range(1, m + 1), s)
                     if sum(split) == m
                 )
                 flexible = bound_multi_flexible(m, s, None, 10**6).bound
                 assert flexible >= best
                 if m % s == 0:
                     assert flexible == best
+
+    @pytest.mark.parametrize("m_s", [(2, 0, 0), (1, 0), (3, -1)])
+    def test_idle_server_rejected(self, m_s):
+        with pytest.raises(ValueError, match=re.escape(f"got m_s={list(m_s)}")):
+            bound_multi_fixed(m_s, 2, 6, 2)
+
+    def test_idle_server_counterexample_within_bound(self):
+        # two clients of one server identify 3 nodes; the bound with the idle
+        # servers (2, 0, 0) used to say 2, the one-server vector (2,) says 3
+        ps = PathSet.from_sequences([[5, 1], [0, 1]])
+        phi1 = one_identifiable_set(testing_matrix(ps, 6))[0]
+        assert phi1 == 3
+        assert bound_multi_fixed((2,), 2, 6, 2).bound == 3
 
     def test_uneven_split_strictly_smaller(self):
         even = bound_multi_fixed((3, 2), 5, None, 10**6).n_max

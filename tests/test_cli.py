@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import reference_check_consistency, reference_q_lower_bound
 from tomobound.cli import main
 
 
@@ -52,6 +53,17 @@ class TestBoundCommand:
         data = json.loads(out)
         assert data["n_max"] == 52
         assert data["bound"] == 26
+
+    def test_multi_fixed_idle_server_rejected(self, capsys):
+        # with the idle servers the bound read 2, yet the two paths [5, 1] and
+        # [0, 1] of one server identify 3 nodes
+        code, out, err = run_cli(
+            capsys, "bound", "--scenario", "multi-fixed", "--m", "2", "--dbar", "2",
+            "--n", "6", "--ms", "2,0,0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: every per-server client count must be >= 1, got m_s=[2, 0, 0]\n"
 
     def test_parameter_error_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -130,6 +142,23 @@ class TestCheckCommand:
         data = json.loads(out)
         assert data["phi1"] == 39
         assert data["consistent"] is True
+
+    def test_prints_the_first_20_violations(self, tmp_path, capsys):
+        from tomobound.construct import fat_tree, fat_tree_all_pair_paths
+        from tomobound.model import save_graph, save_paths
+
+        ft = fat_tree(4)
+        ps = fat_tree_all_pair_paths(ft)
+        save_graph(ft.graph, tmp_path / "g.edges")
+        save_paths(ps, tmp_path / "p.paths")
+        code, out, _ = run_cli(capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"))
+        assert code == 0
+        data = json.loads(out)
+        ref = reference_check_consistency(ps)
+        assert len(ref.violations) > 20
+        assert data["consistent"] is False
+        assert data["consistency_violations"] == [str(v) for v in ref.violations[:20]]
+        assert data["q_lower_bound"] == reference_q_lower_bound(ps)
 
     def test_work_cap_env_override(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "g.edges").write_text("nodes 30\n" + "".join(f"{i} {i+1}\n" for i in range(29)))
@@ -286,6 +315,13 @@ class TestExperimentCommand:
         assert code == 2
         assert out == ""
         assert err == "error: m must be >= 1, got m=0\n"
+
+    @pytest.mark.parametrize("form", [["--m", "-2..3"], ["--m=-2..3"]], ids=["space", "equals"])
+    def test_negative_range_named(self, capsys, form):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--name", "bound_sweep", *form, "--d", "1"])
+        assert exc.value.code == 2
+        assert "argument --m: range '-2..3' starts below 1" in capsys.readouterr().err
 
     def test_reversed_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -166,12 +166,12 @@ DIGESTS: dict[str, str] = {
     "bound consistent-max m=8": "37ace106def76832ca53f806fccb246f6fdbc27c7e0d3ea7b3789fa1f528e3b0",
     "bound fractional budget": "6d94f2103bbaa8b459b6a7ec1ad56f026d0baa2234e2147716cf6eb2cbc99e7b",
     "bound full tag no length": "e32146773beeaa61d13bac9e2ab97add7daa1ee0a52113a0bc3df15dfcc3641b",
-    "bound multi-fixed m=1": "0b3f00d04e17921925c8a5ea7ee7ff2dd7138122d46cd8a1bac5b3d115fd1eb8",
+    "bound multi-fixed m=1": "9012ec4bba54a061e945ef3f76713c11650f3291c00a283e5a22a582583da002",
     "bound multi-fixed m=13": "6fc14b3146924df1388fd26d6abf2dc5913b9d6d3f0a6d3bfbf55034e260e5a4",
     "bound multi-fixed m=2": "8db1c3fe8295f8be887cbbcd2f7e014097111662936b83ba53b0add46edd5fa0",
     "bound multi-fixed m=4": "25d3658b360a75cc0c0a4948c3105df0b0acb9caaf0a0c31eba2859ff3de28d2",
     "bound multi-fixed m=8": "72f7310b974fdd18d038588120288045902df1e0741ed62a7941c27ad9c40070",
-    "bound multi-fixed negative ms": "2a301d4fa43234b8fd140a83d97a22c5c526fd09fa7161e6fee5def6790a4f2a",
+    "bound multi-fixed negative ms": "35b36adb02274b3e08f6878b3a59021a3a0d3e4ffd05b3c6bfa7345fdd590321",
     "bound multi-fixed no ms": "11d5b1acbed23c7039d8bc15762d44b4b940d737ca71316646dc1a21c528851e",
     "bound multi-fixed short ms": "01e3a3e8a8594ff289133267f28d2bd0612d2029804871849f9b005c534f99c9",
     "bound multi-flexible m=1": "5c38078e51ac17c259f861408d22fc26086a7b9162062de880e875d93a0033d3",

@@ -1,12 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_connected_graph, reference_shortest_path_tree
+from conftest import (
+    random_connected_graph,
+    reference_check_consistency,
+    reference_q_lower_bound,
+    reference_shortest_path_tree,
+)
 from tomobound.fixtures import load_instance
 from tomobound.identifiability import column_run_counts, encoding_string, path_matrix, testing_matrix
-from tomobound.model import PathSet, build_graph
+from tomobound.model import MonitoringPath, PathSet, build_graph
 from tomobound.routing import (
     Segmentation,
     check_consistency,
@@ -62,6 +67,10 @@ class TestCheckConsistency:
         with pytest.raises(ValueError, match="simple"):
             check_consistency(PathSet.from_sequences([[0, 1, 0]]))
 
+    def test_limit_below_one_rejected(self):
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            check_consistency(PathSet.from_sequences([[0, 1]]), limit=0)
+
     def test_interleaved_shared_segment(self):
         # shared nodes must appear as one identical stretch; skipping a node
         # in between is a violation even with equal endpoints order
@@ -80,11 +89,11 @@ class TestSegmentation:
 
     def test_consistent_set_no_cuts_q1(self):
         _, ps = load_instance("consistent10")
-        assert verify_segmentation(ps, Segmentation.no_cuts(ps), 1) is True
+        assert verify_segmentation(ps, Segmentation(cuts=((),) * ps.m), 1) is True
 
     def test_inconsistent_set_no_cuts_q1(self):
         _, ps = load_instance("inconsistent10")
-        assert verify_segmentation(ps, Segmentation.no_cuts(ps), 1) is False
+        assert verify_segmentation(ps, Segmentation(cuts=((),) * ps.m), 1) is False
 
     def test_too_many_segments(self):
         ps = PathSet.from_sequences([[0, 1, 2, 3]])
@@ -108,7 +117,7 @@ class TestSegmentation:
             nodes = list(range(g.node_count))
             pairs = [tuple(rng.sample(nodes, 2)) for _ in range(3)]
             ps = consistent_shortest_paths(g, pairs)
-            assert verify_segmentation(ps, Segmentation.no_cuts(ps), 1) is True
+            assert verify_segmentation(ps, Segmentation(cuts=((),) * ps.m), 1) is True
 
     def test_cut_node_shared_by_adjacent_segments(self):
         ps = PathSet.from_sequences([[0, 1, 2, 3, 4]])
@@ -251,3 +260,79 @@ def test_spt_hop_counts_match_networkx(g):
         parent = shortest_path_tree(g, src)
         hops = {v: len(walk_to_root(parent, v)) - 1 for v in parent}
         assert hops == nx.single_source_shortest_path_length(ref, src)
+
+
+@st.composite
+def simple_path_sets(draw):
+    """Small simple path sets over few nodes, so that paths share a lot.
+
+    A path is often built from a stretch of an earlier one: kept as it is,
+    reversed, split in two by a foreign node, with its halves swapped, or cut
+    down to a single node, then padded with other nodes on both sides.
+    """
+    seqs: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 7))):
+        if not seqs or draw(st.booleans()):
+            seqs.append(draw(st.lists(st.integers(0, 9), min_size=1, max_size=7, unique=True)))
+            continue
+        base = draw(st.sampled_from(seqs))
+        a = draw(st.integers(0, len(base) - 1))
+        run = base[a : draw(st.integers(a, len(base) - 1)) + 1]
+        rest = draw(st.permutations([u for u in range(12) if u not in run]))
+        half = len(run) // 2
+        how = draw(st.sampled_from(["keep", "reverse", "split", "swap", "single"]))
+        if how == "reverse":
+            run = run[::-1]
+        elif how == "split":
+            run = run[:half] + [rest.pop()] + run[half:]
+        elif how == "swap":
+            run = run[half:] + run[:half]
+        elif how == "single":
+            run = run[:1]
+        before, after = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        seqs.append(rest[:before] + run + rest[before : before + after])
+    return PathSet.from_sequences(seqs)
+
+
+REVERSED_RUN = PathSet.from_sequences([[0, 1, 2, 3], [4, 3, 2, 1, 5]])
+SPLIT_RUN = PathSet.from_sequences([[0, 1, 2, 3, 4], [5, 1, 2, 6, 3, 4]])
+SINGLE_NODE = PathSet.from_sequences([[0, 1, 2], [3, 1, 4]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(simple_path_sets())
+@example(REVERSED_RUN)
+@example(SPLIT_RUN)
+@example(SINGLE_NODE)
+def test_check_consistency_matches_pairwise_oracle(ps):
+    ref = reference_check_consistency(ps)
+    assert check_consistency(ps) == ref
+    for limit in range(1, 6):
+        report = check_consistency(ps, limit=limit)
+        assert report.consistent == ref.consistent
+        assert report.violations == ref.violations[:limit]
+
+
+@settings(max_examples=400, deadline=None)
+@given(simple_path_sets())
+@example(REVERSED_RUN)
+@example(SPLIT_RUN)
+@example(SINGLE_NODE)
+def test_q_lower_bound_matches_path_matrix_oracle(ps):
+    assert q_lower_bound(ps) == reference_q_lower_bound(ps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_path_sets(), st.data())
+def test_verify_segmentation_matches_oracle(ps, data):
+    cuts = tuple(
+        tuple(sorted(data.draw(st.sets(st.integers(0, len(p) - 1), max_size=3))))
+        for p in ps.paths
+    )
+    seg = Segmentation(cuts=cuts)
+    q = data.draw(st.integers(1, 3))
+    segments = [s for i in range(ps.m) for s in seg.segments_of(ps, i)]
+    expected = all(len(seg.segments_of(ps, i)) <= q for i in range(ps.m)) and (
+        reference_check_consistency(PathSet(tuple(MonitoringPath(s) for s in segments))).consistent
+    )
+    assert verify_segmentation(ps, seg, q) is expected
