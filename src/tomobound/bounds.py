@@ -170,28 +170,33 @@ def _budget(
         if s is None:
             raise ValueError("multi-flexible requires the server count S")
         exact = n_max_flexible_exact(m, s, d)
-        nmax = max(0, exact.numerator // exact.denominator)
+        nmax = exact.numerator // exact.denominator
         return nmax, exact if exact != nmax else None
     raise ValueError(f"scenario {scenario} has no N_max formula (use bound() instead)")
 
 
 def _nmax_multi_fixed(m_s: tuple[int, ...], m: int, d: Fraction) -> int:
     """Sum of the per-server tree budgets psi_tree(m_s) + 2 m_s (m - m_s),
-    capped by m*d. The theorem needs every server to have a client.
-    Degenerate negative totals clamp to an empty budget."""
+    capped by m*d. The theorem needs every server to have a client and the
+    per-server counts to sum to m."""
     if any(v < 1 for v in m_s):
         raise ValueError(f"every per-server client count must be >= 1, got m_s={list(m_s)}")
     if sum(m_s) < m:
         raise ValueError(f"m={m} clients exceed the total client slots sum(m_s)={sum(m_s)}")
+    if sum(m_s) > m:
+        raise ValueError(f"client slots m_s={list(m_s)} sum to more than the m={m} clients")
     tree_side = sum(psi_tree(v) + 2 * v * (m - v) for v in m_s)
-    return max(0, min(_integral_budget(m, d), tree_side))
+    return min(_integral_budget(m, d), tree_side)
 
 
 def n_max_flexible_exact(m: int, s: int, d: Rational) -> Fraction:
-    """Pre-floor flexible-assignment budget min{m*d, m^2(2 - 3/(2S)) + 3m/2 - S}."""
+    """Pre-floor flexible-assignment budget min{m*d, m^2(2 - 3/(2S)) + 3m/2 - S},
+    for 1 <= S <= m: an idle server would still be charged in the -S term."""
     _check_m(m)
     if s < 1:
         raise ValueError("S must be >= 1")
+    if s > m:
+        raise ValueError(f"S={s} servers exceed the m={m} clients; every server needs a client")
     dd = _as_fraction(d, "d")
     relaxed = Fraction(m * m) * (2 - Fraction(3, 2 * s)) + Fraction(3 * m, 2) - s
     return min(Fraction(_integral_budget(m, dd)), relaxed)

@@ -167,7 +167,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if flag is not None and getattr(args, flag) is None:
             raise ValueError(f"construct {args.kind} requires --{flag}")
         inst = generate(args)
-        graph, paths = inst.graph, inst.paths
+        graph, paths, labels = inst.graph, inst.paths, inst.labels
         expected_phi1 = int(inst.meta["bound"])  # type: ignore[arg-type]
         sidecar: dict = {
             "meta": {k: (list(v) if isinstance(v, tuple) else v) for k, v in inst.meta.items()},
@@ -175,13 +175,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
         }
     else:  # fat-tree: emit the all-host-pair routed instance
         ft = fat_tree(args.k)
-        graph = ft.graph
+        graph, labels = ft.graph, ft.address_of
         paths = fat_tree_all_pair_paths(ft)
         t = testing_matrix(paths, graph.node_count)
         expected_phi1 = one_identifiable_set(t)[0]
         sidecar = {
             "meta": {"kind": "fat-tree", "k": args.k, "nodes": graph.node_count, "phi1": expected_phi1},
-            "addresses": {str(i): a for i, a in sorted(ft.address_of.items())},
+            "addresses": {str(i): a for i, a in enumerate(ft.address_of)},
             "roles": {
                 "core": list(ft.core),
                 "aggregation": list(ft.aggregation),
@@ -195,7 +195,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     stem = args.kind.replace("-", "_")
     graph_file = out / f"{stem}.edges"
     paths_file = out / f"{stem}.paths"
-    save_graph(graph, graph_file)
+    save_graph(graph, graph_file, labels)
     save_paths(paths, paths_file)
     (out / f"{stem}.json").write_text(json.dumps(sidecar, indent=1) + "\n", encoding="utf-8")
 

@@ -30,12 +30,14 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstructedInstance:
-    """A generated topology with its monitoring paths and per-node encodings."""
+    """A generated topology with its monitoring paths and per-node encodings.
+    ``labels[i]`` names node i, for the generators that name their nodes."""
 
     graph: Graph
     paths: PathSet
     encodings: tuple[int, ...]
     meta: Mapping[str, object]
+    labels: tuple[str, ...] = ()
 
     def encoding_strings(self) -> tuple[str, ...]:
         m = self.paths.m
@@ -155,16 +157,18 @@ def _arrange_top_layer(
 def _instance(
     seqs: Sequence[Sequence[int]],
     meta: Mapping[str, object],
-    labels: Mapping[int, str] | None,
+    labels: tuple[str, ...] = (),
 ) -> ConstructedInstance:
     """Instance over the given node sequences: the graph links consecutive path
     nodes, and each node's encoding is its testing-matrix column."""
     path_set = PathSet.from_sequences(seqs)
     n = path_set.max_node_id() + 1
     steps = [step for p in path_set.paths for step in zip(p.nodes, p.nodes[1:])]
-    graph = build_graph(steps, labels=labels, node_count=n)
+    graph = build_graph(steps, node_count=n)
     encodings = testing_matrix(path_set, n).columns
-    return ConstructedInstance(graph=graph, paths=path_set, encodings=encodings, meta=meta)
+    return ConstructedInstance(
+        graph=graph, paths=path_set, encodings=encodings, meta=meta, labels=labels
+    )
 
 
 def ica(m: int, dbar: Rational) -> ConstructedInstance:
@@ -235,8 +239,7 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
         )
     ordered = sorted(members, key=_canonical_key)
     seqs = [[j for j, b in enumerate(ordered) if b >> i & 1] for i in range(m)]
-    labels = {j: encoding_string(b, m) for j, b in enumerate(ordered)}
-    return _instance(seqs, meta, labels)
+    return _instance(seqs, meta, tuple(encoding_string(b, m) for b in ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +279,8 @@ def half_grid(m: int) -> ConstructedInstance:
                 continue
             seq.append(ids[(min(i, j), max(i, j))])
         seqs.append(seq)
-    labels = {}
-    for (i, j), node in ids.items():
-        labels[node] = f"p{i + 1}" if i == j else f"p{i + 1}*p{j + 1}"
+    # ids hands out node ids in insertion order
+    labels = tuple(f"p{i + 1}" if i == j else f"p{i + 1}*p{j + 1}" for i, j in ids)
     meta = {"kind": "half-grid", "m": m, "dbar": str(m), "bound": m * (m + 1) // 2}
     return _instance(seqs, meta, labels)
 
@@ -333,7 +335,7 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
     if n != expected:
         raise ConstructionError(f"tree has {n} nodes, single-server bound is {expected}")
     meta = {"kind": "monitoring-tree", "m": m, "d_max": d_max, "bound": expected}
-    return _instance([walk_to_root(parent, leaf) for leaf in leaves], meta, None)
+    return _instance([walk_to_root(parent, leaf) for leaf in leaves], meta)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +361,8 @@ class FatTree:
     aggregation: tuple[int, ...]
     edge: tuple[int, ...]
     hosts: tuple[int, ...]
+    address_of: tuple[str, ...]  # node id -> address
     ids: Mapping[str, int]  # address -> node id
-
-    @property
-    def address_of(self) -> Mapping[int, str]:
-        return self.graph.labels or {}
 
     def node_for(self, which: int | str) -> int:
         if isinstance(which, int):
@@ -433,7 +432,7 @@ def fat_tree(k: int) -> FatTree:
             j = a - half + 1  # aggregation row: connects to cores 10.k.j.*
             for i in range(1, half + 1):
                 edges.append((_switch_id(k, pod, a), _core_id(k, j, i)))
-    graph = build_graph(edges, labels=labels, node_count=len(labels))
+    graph = build_graph(edges, node_count=len(labels))
     pods = [range(_pod_base(k, pod), _pod_base(k, pod + 1)) for pod in range(k)]
     return FatTree(
         k=k,
@@ -442,6 +441,7 @@ def fat_tree(k: int) -> FatTree:
         aggregation=tuple(node for ids in pods for node in ids[:half]),
         edge=tuple(node for ids in pods for node in ids[half:k]),
         hosts=tuple(node for ids in pods for node in ids[k:]),
+        address_of=tuple(labels[node] for node in range(len(labels))),
         ids={addr: node for node, addr in labels.items()},
     )
 

@@ -1,7 +1,8 @@
 """Core domain types: undirected graphs, monitoring paths, and their file formats.
 
-Node ids are dense integers ``0..n-1``; string labels, when present, live in a
-side map so that testing-matrix columns stay stable across runs.
+Node ids are dense integers ``0..n-1``, so testing-matrix columns stay stable
+across runs. A graph is topology only; the generators that name their nodes
+keep the names, and the edge-list writer takes them as comments.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ class Graph:
 
     node_count: int
     edges: frozenset[Edge]
-    labels: Mapping[int, str] | None = None
 
     def __post_init__(self) -> None:
         if self.node_count < 0:
@@ -35,10 +35,6 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) is not normalized")
             if not (0 <= u and v < self.node_count):
                 raise ValueError(f"edge ({u}, {v}) references a node >= node_count={self.node_count}")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
@@ -53,17 +49,8 @@ class Graph:
             nbrs.sort()
         return adj
 
-    def label_of(self, u: int) -> str:
-        if self.labels and u in self.labels:
-            return self.labels[u]
-        return str(u)
 
-
-def build_graph(
-    edge_list: Iterable[tuple[int, int]],
-    labels: Mapping[int, str] | None = None,
-    node_count: int | None = None,
-) -> Graph:
+def build_graph(edge_list: Iterable[tuple[int, int]], node_count: int | None = None) -> Graph:
     """Build a :class:`Graph` from node-id pairs, deduplicating undirected edges.
 
     ``node_count`` defaults to ``1 + max referenced id`` and may only be
@@ -83,20 +70,7 @@ def build_graph(
         if node_count < n:
             raise ValueError(f"node_count override {node_count} smaller than largest id {max_id}")
         n = node_count
-    return Graph(node_count=n, edges=frozenset(edges), labels=dict(labels) if labels else None)
-
-
-def graph_from_labeled_edges(pairs: Iterable[tuple[str, str]]) -> Graph:
-    """Ingest string-labeled edges, assigning dense ids in first-appearance order."""
-    ids: dict[str, int] = {}
-    edge_list: list[tuple[int, int]] = []
-    for a, b in pairs:
-        for name in (a, b):
-            if name not in ids:
-                ids[name] = len(ids)
-        edge_list.append((ids[a], ids[b]))
-    labels = {i: name for name, i in ids.items()}
-    return build_graph(edge_list, labels=labels, node_count=len(ids) if ids else None)
+    return Graph(node_count=n, edges=frozenset(edges))
 
 
 def links_to_logical_nodes(g: Graph) -> tuple[Graph, dict[Edge, int]]:
@@ -107,19 +81,15 @@ def links_to_logical_nodes(g: Graph) -> tuple[Graph, dict[Edge, int]]:
     """
     link_of: dict[Edge, int] = {}
     new_edges: list[tuple[int, int]] = []
-    labels = dict(g.labels) if g.labels else None
     for rank, (u, v) in enumerate(sorted(g.edges)):
         w = g.node_count + rank
         link_of[(u, v)] = w
         new_edges.append((u, w))
         new_edges.append((w, v))
-        if labels is not None:
-            labels[w] = f"{g.label_of(u)}~{g.label_of(v)}"
     return (
         Graph(
             node_count=g.node_count + len(g.edges),
             edges=frozenset(_norm_edge(u, v) for u, v in new_edges),
-            labels=labels,
         ),
         link_of,
     )
@@ -146,9 +116,6 @@ class MonitoringPath:
     @property
     def is_simple(self) -> bool:
         return len(set(self.nodes)) == len(self.nodes)
-
-    def node_set(self) -> frozenset[int]:
-        return frozenset(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -241,9 +208,9 @@ def expand_paths_through_links(ps: PathSet, link_of: Mapping[Edge, int]) -> Path
 # File formats.
 #
 # Edge-list file: one "u v" pair per line, whitespace separated, '#' comments,
-# optional "nodes N" header line. Path file: one path per line, node ids (or
-# labels resolved via the label map) separated by whitespace. Both UTF-8 with
-# LF or CRLF line endings.
+# optional "nodes N" header line; the writer can name nodes in "# node i name"
+# comments, which the reader skips. Path file: one path per line, node ids
+# separated by whitespace. Both UTF-8 with LF or CRLF line endings.
 # ---------------------------------------------------------------------------
 
 
@@ -267,7 +234,8 @@ def parse_edge_list(text: str, source: str = "<edge-list>") -> Graph:
     for lineno, line in _content_lines(text):
         tokens = line.split()
         if tokens[0] == "nodes":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            # isdecimal, unlike isdigit, refuses what int() refuses, such as '²'
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(source, lineno, f"malformed header {line!r}, expected 'nodes N'")
             node_count = int(tokens[1])
             continue
@@ -286,21 +254,15 @@ def parse_edge_list(text: str, source: str = "<edge-list>") -> Graph:
         raise ParseError(source, 0, str(exc)) from None
 
 
-def parse_path_file(
-    text: str,
-    label_to_id: Mapping[str, int] | None = None,
-    source: str = "<path-file>",
-) -> PathSet:
+def parse_path_file(text: str, source: str = "<path-file>") -> PathSet:
     paths: list[MonitoringPath] = []
     for lineno, line in _content_lines(text):
         nodes: list[int] = []
         for token in line.split():
-            if token.lstrip("-").isdigit():
+            try:
                 nodes.append(int(token))
-            elif label_to_id and token in label_to_id:
-                nodes.append(label_to_id[token])
-            else:
-                raise ParseError(source, lineno, f"unresolvable node token {token!r}")
+            except ValueError:
+                raise ParseError(source, lineno, f"unresolvable node token {token!r}") from None
         if any(u < 0 for u in nodes):
             raise ParseError(source, lineno, "negative node id")
         paths.append(MonitoringPath(tuple(nodes)))
@@ -309,22 +271,10 @@ def parse_path_file(
     return PathSet(tuple(paths))
 
 
-def invert_labels(g: Graph) -> dict[str, int]:
-    """Label -> id map for resolving label-based path files; duplicates are rejected."""
-    if not g.labels:
-        return {}
-    out: dict[str, int] = {}
-    for i, name in g.labels.items():
-        if name in out:
-            raise ValueError(f"duplicate label {name!r} for nodes {out[name]} and {i}")
-        out[name] = i
-    return out
-
-
-def format_edge_list(g: Graph) -> str:
+def format_edge_list(g: Graph, labels: Sequence[str] = ()) -> str:
+    """Edge-list text; ``labels[i]``, when given, names node i in a comment line."""
     lines = [f"nodes {g.node_count}"]
-    if g.labels:
-        lines.extend(f"# node {i} {g.labels[i]}" for i in sorted(g.labels))
+    lines.extend(f"# node {i} {name}" for i, name in enumerate(labels))
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
@@ -338,13 +288,13 @@ def load_graph(path: str | Path) -> Graph:
     return parse_edge_list(p.read_text(encoding="utf-8"), source=str(p))
 
 
-def load_paths(path: str | Path, label_to_id: Mapping[str, int] | None = None) -> PathSet:
+def load_paths(path: str | Path) -> PathSet:
     p = Path(path)
-    return parse_path_file(p.read_text(encoding="utf-8"), label_to_id=label_to_id, source=str(p))
+    return parse_path_file(p.read_text(encoding="utf-8"), source=str(p))
 
 
-def save_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_edge_list(g), encoding="utf-8")
+def save_graph(g: Graph, path: str | Path, labels: Sequence[str] = ()) -> None:
+    Path(path).write_text(format_edge_list(g, labels), encoding="utf-8")
 
 
 def save_paths(ps: PathSet, path: str | Path) -> None:

@@ -228,6 +228,24 @@ class TestMultiServer:
         assert phi1 == 3
         assert bound_multi_fixed((2,), 2, 6, 2).bound == 3
 
+    def test_surplus_slots_rejected(self):
+        # m_s=(3,) for m=2 read 2, below the 3 nodes the same two paths identify
+        ps = PathSet.from_sequences([[5, 1], [0, 1]])
+        assert one_identifiable_set(testing_matrix(ps, 6))[0] == 3
+        with pytest.raises(ValueError, match=re.escape("client slots m_s=[3] sum to more than the m=2")):
+            bound_multi_fixed((3,), 2, 6, 2)
+
+    def test_idle_flexible_servers_rejected(self):
+        # S=20 for m=2 read 0 (n_max_exact -93/10), yet both clients on one
+        # server, paths [0, 2] and [1, 2], identify 3 nodes
+        ps = PathSet.from_sequences([[0, 2], [1, 2]])
+        assert one_identifiable_set(testing_matrix(ps, 6))[0] == 3
+        assert bound_multi_flexible(2, 1, 6, 2).bound == 3
+        with pytest.raises(ValueError, match=re.escape("S=20 servers exceed the m=2 clients")):
+            bound_multi_flexible(2, 20, 6, 2)
+        with pytest.raises(ValueError, match="S=3"):
+            n_max_flexible_exact(2, 3, 2)
+
     def test_uneven_split_strictly_smaller(self):
         even = bound_multi_fixed((3, 2), 5, None, 10**6).n_max
         uneven = bound_multi_fixed((4, 1), 5, None, 10**6).n_max
@@ -317,7 +335,7 @@ class TestDominanceAndMonotonicity:
             ("consistent-avg", {}),
             ("consistent-max", {}),
             ("partial-consistent", {"q": 2}),
-            ("multi-flexible", {"s": 3}),
+            ("multi-flexible", {"s": 2}),
         ]
         for scenario, kw in cases:
             prev_by_d: dict[int, int] = {}

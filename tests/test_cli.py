@@ -194,6 +194,23 @@ class TestCheckCommand:
         assert code == 2
         assert ":1" in err
 
+    @pytest.mark.parametrize(
+        "edges, paths, where, message",
+        [
+            ("0 1\n", "0 1\n1 --1\n", "p.paths:2", "unresolvable node token '--1'"),
+            ("0 1\n", "0 \u00b2\n", "p.paths:1", "unresolvable node token '\u00b2'"),
+            ("nodes \u00b2\n0 1\n", "0 1\n", "g.edges:1", "malformed header 'nodes \u00b2'"),
+        ],
+        ids=["path --1", "path superscript", "header superscript"],
+    )
+    def test_bad_integer_token_names_file_and_line(self, tmp_path, capsys, edges, paths, where, message):
+        (tmp_path / "g.edges").write_text(edges, encoding="utf-8")
+        (tmp_path / "p.paths").write_text(paths, encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {tmp_path / where}: {message}")
+
     def test_links_as_nodes(self, tmp_path, capsys):
         (tmp_path / "g.edges").write_text("0 1\n1 2\n")
         (tmp_path / "p.paths").write_text("0 1 2\n")

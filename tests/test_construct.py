@@ -102,7 +102,7 @@ class TestIca:
     def test_two_disjoint_single_node_paths(self):
         inst = ica(2, 1)
         assert set(inst.encoding_strings()) == {"10", "01"}
-        assert inst.graph.edge_count == 0
+        assert len(inst.graph.edges) == 0
         assert [len(p) for p in inst.paths] == [1, 1]
 
     def test_paths_fit_graph(self):
@@ -296,7 +296,7 @@ class TestMonitoringTree:
     def test_union_of_paths_is_a_tree(self):
         for m, d_max in [(7, 4), (7, 3), (20, 5)]:
             inst = monitoring_tree(m, d_max)
-            assert inst.graph.edge_count == inst.graph.node_count - 1
+            assert len(inst.graph.edges) == inst.graph.node_count - 1
             assert check_consistency(inst.paths).consistent
 
     def test_per_path_identifiable_cap(self):
@@ -427,6 +427,18 @@ class TestFatTree:
     )
     def test_full_size_files_unchanged(self, k, edges_digest, paths_digest):
         ft = fat_tree(k)
-        assert sha256(format_edge_list(ft.graph).encode()).hexdigest() == edges_digest
+        edges = format_edge_list(ft.graph, ft.address_of)
+        assert sha256(edges.encode()).hexdigest() == edges_digest
         paths = format_path_file(fat_tree_all_pair_paths(ft))
         assert sha256(paths.encode()).hexdigest() == paths_digest
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: fat_tree(4), lambda: ica(4, Fraction(17, 4)), lambda: half_grid(5)],
+    ids=["fat_tree(4)", "ica(4, 17/4)", "half_grid(5)"],
+)
+def test_generated_graphs_are_hashable(make):
+    # a graph is topology only, so two builds of one instance hash equal
+    g = make().graph
+    assert hash(g) == hash(make().graph)
+    assert {g: 1}[make().graph] == 1

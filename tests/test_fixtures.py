@@ -82,7 +82,7 @@ class TestIsp108:
     def test_shape(self):
         g = load_graph("isp108")
         assert g.node_count == 108
-        assert g.edge_count == 141
+        assert len(g.edges) == 141
         adj = g.adjacency()
         dangling = [u for u in range(108) if len(adj[u]) == 1]
         assert len(dangling) == 78

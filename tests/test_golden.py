@@ -174,7 +174,7 @@ DIGESTS: dict[str, str] = {
     "bound multi-fixed negative ms": "35b36adb02274b3e08f6878b3a59021a3a0d3e4ffd05b3c6bfa7345fdd590321",
     "bound multi-fixed no ms": "11d5b1acbed23c7039d8bc15762d44b4b940d737ca71316646dc1a21c528851e",
     "bound multi-fixed short ms": "01e3a3e8a8594ff289133267f28d2bd0612d2029804871849f9b005c534f99c9",
-    "bound multi-flexible m=1": "5c38078e51ac17c259f861408d22fc26086a7b9162062de880e875d93a0033d3",
+    "bound multi-flexible m=1": "3f028518b89e2077962f80e8fe377c428c978bc54558571dad6cccc7f5765ac8",
     "bound multi-flexible m=13": "f779ecdff0d5a82dc7c87dcea314391d2d5bbfeecb593a668991b25901182fec",
     "bound multi-flexible m=2": "9016210cec528035f0e82ba501de1e13e65fbd0b58a531f8b036ea901ab7e347",
     "bound multi-flexible m=4": "cfae298ce40ce3b0b2c823a58dfd874280558311a5ea8cd823eec1f0931f9f2f",

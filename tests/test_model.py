@@ -13,8 +13,6 @@ from tomobound.model import (
     expand_paths_through_links,
     format_edge_list,
     format_path_file,
-    graph_from_labeled_edges,
-    invert_labels,
     links_to_logical_nodes,
     parse_edge_list,
     parse_path_file,
@@ -26,17 +24,17 @@ class TestBuildGraph:
     def test_line_graph(self):
         g = build_graph([(0, 1), (1, 2)])
         assert g.node_count == 3
-        assert g.edge_count == 2
+        assert len(g.edges) == 2
 
     def test_edgeless_with_override(self):
         g = build_graph([], node_count=5)
         assert g.node_count == 5
-        assert g.edge_count == 0
+        assert len(g.edges) == 0
 
     def test_undirected_dedup(self):
         g = build_graph([(0, 1), (1, 0)])
         assert g.node_count == 2
-        assert g.edge_count == 1
+        assert len(g.edges) == 1
 
     def test_self_loop_rejected_with_pair(self):
         with pytest.raises(ValueError, match=r"\(3, 3\)"):
@@ -54,34 +52,33 @@ class TestBuildGraph:
         g = build_graph([(2, 0), (0, 1)])
         assert g.adjacency()[0] == [1, 2]
 
-    def test_labeled_ingestion_first_appearance_order(self):
-        g = graph_from_labeled_edges([("c", "a"), ("a", "b")])
-        assert g.labels == {0: "c", 1: "a", 2: "b"}
-        assert g.has_edge(0, 1) and g.has_edge(1, 2)
+    def test_equal_graphs_hash_equal(self):
+        assert build_graph([(0, 1)]) == build_graph([(1, 0)])
+        assert hash(build_graph([(0, 1)])) == hash(build_graph([(1, 0)]))
 
 
 class TestLogicalNodes:
     def test_single_edge(self):
         g, link_of = links_to_logical_nodes(build_graph([(0, 1)]))
         assert g.node_count == 3
-        assert g.edge_count == 2
+        assert len(g.edges) == 2
         assert link_of == {(0, 1): 2}
 
     def test_triangle(self):
         g, _ = links_to_logical_nodes(build_graph([(0, 1), (1, 2), (0, 2)]))
         assert g.node_count == 6
-        assert g.edge_count == 6
+        assert len(g.edges) == 6
 
     def test_edgeless_identity(self):
         g, link_of = links_to_logical_nodes(build_graph([], node_count=4))
         assert g.node_count == 4
-        assert g.edge_count == 0
+        assert len(g.edges) == 0
         assert link_of == {}
 
     def test_link_nodes_have_degree_two(self):
         base = build_graph([(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
         g, link_of = links_to_logical_nodes(base)
-        assert g.node_count == base.node_count + base.edge_count
+        assert g.node_count == base.node_count + len(base.edges)
         adj = g.adjacency()
         for w in link_of.values():
             assert len(adj[w]) == 2
@@ -180,14 +177,24 @@ class TestFileFormats:
         with pytest.raises(ParseError, match=":1"):
             parse_edge_list("2 2\n")
 
-    def test_label_resolution(self):
-        g = graph_from_labeled_edges([("alpha", "beta"), ("beta", "gamma")])
-        ps = parse_path_file("alpha beta gamma\n", label_to_id=invert_labels(g))
-        assert ps.paths[0].nodes == (0, 1, 2)
-
     def test_unresolvable_token(self):
         with pytest.raises(ParseError, match="bogus"):
             parse_path_file("0 bogus\n")
+
+    @pytest.mark.parametrize("token", ["--1", "\u00b2"])
+    def test_path_token_int_rejects_names_file_and_line(self, token):
+        with pytest.raises(ParseError, match=rf"^p\.txt:2: unresolvable node token '{token}'$"):
+            parse_path_file(f"0 1\n0 {token}\n", source="p.txt")
+
+    def test_header_int_rejects_names_file_and_line(self):
+        with pytest.raises(ParseError, match=r"^g\.txt:2: malformed header 'nodes \u00b2'"):
+            parse_edge_list("0 1\nnodes \u00b2\n", source="g.txt")
+
+    def test_labels_written_as_comments_and_skipped_on_read(self):
+        g = build_graph([(0, 1)])
+        text = format_edge_list(g, ("a", "b"))
+        assert text == "nodes 2\n# node 0 a\n# node 1 b\n0 1\n"
+        assert parse_edge_list(text) == g
 
     @given(
         st.lists(
