@@ -192,12 +192,12 @@ def validate_path_set(g: Graph, ps: PathSet, require_simple: bool = False) -> li
 def expand_paths_through_links(ps: PathSet, link_of: Mapping[Edge, int]) -> PathSet:
     """Rewrite paths over a link-subdivided graph by inserting each step's logical node."""
     new_paths = []
-    for p in ps.paths:
+    for i, p in enumerate(ps.paths):
         seq: list[int] = [p.nodes[0]]
         for u, v in zip(p.nodes, p.nodes[1:]):
             w = link_of.get(_norm_edge(u, v))
             if w is None:
-                raise ValueError(f"step ({u}, {v}) is not an edge of the original graph")
+                raise ValueError(f"path {i}: step ({u}, {v}) is not an edge of the original graph")
             seq.append(w)
             seq.append(v)
         new_paths.append(MonitoringPath(tuple(seq)))

@@ -7,12 +7,11 @@ sub-path traversed in opposite directions still counts as the same route.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .model import Graph, MonitoringPath, PathSet, _norm_edge
+from .model import Edge, Graph, MonitoringPath, PathSet, _norm_edge
 
 
 @dataclass(frozen=True)
@@ -45,21 +44,34 @@ def _require_simple(ps: PathSet) -> None:
             raise ValueError(f"path {i} repeats a node; consistency is defined on simple paths")
 
 
-def _shared_positions(ps: PathSet, later_only: bool):
-    """Per path i, its nodes and, for each path k that crosses it (k > i only
-    when ``later_only``), the positions in path i of their shared nodes."""
+def _path_bitsets(ps: PathSet) -> tuple[dict[int, int], dict[Edge, int]]:
+    """Path bitsets, bit i for path i: node -> the paths that cross it, and
+    normalised step (u, v) -> the paths that take u and v consecutively."""
     _require_simple(ps)
-    index: dict[int, list[int]] = {}  # node -> the paths that cross it, in path order
+    cross: dict[int, int] = {}
+    step: dict[Edge, int] = {}
     for i, p in enumerate(ps.paths):
         for u in p.nodes:
-            index.setdefault(u, []).append(i)
-    for i, p in enumerate(ps.paths):
-        shared: dict[int, list[int]] = {}
-        for a, u in enumerate(p.nodes):
-            crossing = index[u]
-            for k in crossing[bisect_right(crossing, i) if later_only else 0 :]:
-                shared.setdefault(k, []).append(a)
-        yield i, p.nodes, shared
+            cross[u] = cross.get(u, 0) | 1 << i
+        for e in map(_norm_edge, p.nodes, p.nodes[1:]):
+            step[e] = step.get(e, 0) | 1 << i
+    return cross, step
+
+
+def _run_levels(cross: dict[int, int], nodes: tuple[int, ...]) -> list[int]:
+    """Bit-sliced run counts along ``nodes``: levels[r] holds the paths in at
+    least r + 1 entry masks c(u_a) & ~c(u_{a-1}), i.e. sharing that many runs."""
+    levels: list[int] = []
+    prev = 0
+    for u in nodes:
+        carry, prev = cross[u] & ~prev, cross[u]
+        for r, level in enumerate(levels):
+            levels[r], carry = level | carry, carry & level
+            if not carry:
+                break
+        if carry:
+            levels.append(carry)
+    return levels
 
 
 def check_consistency(ps: PathSet, limit: int | None = None) -> ConsistencyReport:
@@ -69,20 +81,27 @@ def check_consistency(ps: PathSet, limit: int | None = None) -> ConsistencyRepor
 
     Two simple paths route alike exactly when their shared nodes are
     consecutive in the first and step by +1 throughout, or by -1 throughout,
-    in the second (the run test); only pairs that fail it are compared."""
+    in the second (the run test); only pairs that fail it are compared. Path j
+    fails it with path i exactly when bit j is in level 2 of i's run counts
+    (two runs in i) or in c(u_{a-1}) & c(u_a) & ~step(u_{a-1}, u_a) for a step
+    of i: with one run, the consecutive shared pairs are the steps of i whose
+    ends j crosses, and distinct positions in j that step by 1 cannot turn
+    back, so j passes iff it takes each such step; one shared node sets neither."""
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got limit={limit}")
-    positions = [{u: idx for idx, u in enumerate(p.nodes)} for p in ps.paths]
+    cross, step = _path_bitsets(ps)
     violations: list[ConsistencyViolation] = []
-    for i, nodes, shared in _shared_positions(ps, later_only=True):
-        for j in sorted(shared):
-            run = shared[j]
-            if len(run) < 2:
-                continue
-            at_j = [positions[j][nodes[a]] for a in run]
-            # distinct positions that step by 1 cannot turn back, so this is the run test
-            if run[-1] - run[0] == len(run) - 1 and all(abs(y - x) == 1 for x, y in zip(at_j, at_j[1:])):
-                continue
+    for i, nodes in enumerate(p.nodes for p in ps.paths):
+        failing = sum(_run_levels(cross, nodes)[1:2])  # level 2, if there is one
+        for u, v in zip(nodes, nodes[1:]):
+            failing |= cross[u] & cross[v] & ~step[_norm_edge(u, v)]
+        failing >>= i + 1  # bit b is now path i + 1 + b
+        while failing:
+            j = i + (failing & -failing).bit_length()
+            failing &= failing - 1
+            at = {u: b for b, u in enumerate(ps.paths[j].nodes)}
+            run = [a for a, u in enumerate(nodes) if u in at]
+            at_j = [at[nodes[a]] for a in run]
             for a, b in combinations(range(len(run)), 2):
                 sub_i = nodes[run[a] : run[b] + 1]
                 lo, hi = sorted((at_j[a], at_j[b]))
@@ -148,14 +167,10 @@ def verify_segmentation(ps: PathSet, seg: Segmentation, q: int) -> bool:
 
 def q_lower_bound(ps: PathSet) -> int:
     """Necessary q for any valid segmentation: the most maximal runs of nodes
-    that one path shares with another (itself included), i.e. the worst run
-    count of ones over all path-matrix columns. Witness only; no search."""
-    worst = 1
-    for _, _, shared in _shared_positions(ps, later_only=False):
-        for run in shared.values():
-            if run[-1] - run[0] >= len(run):  # a gap, so more than one run
-                worst = max(worst, 1 + sum(y - x > 1 for x, y in zip(run, run[1:])))
-    return worst
+    that one path shares with another (itself included), i.e. the deepest
+    level of any path's bit-sliced run counts. Witness only; no search."""
+    cross, _ = _path_bitsets(ps)
+    return max(len(_run_levels(cross, p.nodes)) for p in ps.paths)
 
 
 def shortest_path_tree(g: Graph, src: int) -> dict[int, int]:

@@ -226,6 +226,16 @@ class TestCheckCommand:
         assert data["nodes"] == 5
         assert data["path_lengths"] == [5]
 
+    def test_links_as_nodes_bad_step_names_the_path(self, tmp_path, capsys):
+        (tmp_path / "g.edges").write_text("0 1\n")
+        (tmp_path / "p.paths").write_text("0 1\n0 2\n")
+        code, out, err = run_cli(
+            capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"), "--links-as-nodes"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: path 1: step (0, 2) is not an edge of the original graph\n"
+
 
 class TestConstructCommand:
     def test_ica_self_check(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -142,6 +143,26 @@ class TestQLowerBound:
     def test_split_run(self):
         ps = PathSet.from_sequences([[0, 1, 2], [0, 2]])
         assert q_lower_bound(ps) == 2
+
+
+class TestFullSizeFatTree:
+    """All-pairs fat-tree routes at the sizes `check` and `construct` meet."""
+
+    def test_k8_q_lower_bound_and_midpoint_segmentation(self):
+        from tomobound.construct import fat_tree, fat_tree_all_pair_paths
+
+        ps = fat_tree_all_pair_paths(fat_tree(8))
+        assert q_lower_bound(ps) == 2
+        assert verify_segmentation(ps, Segmentation.at_midpoints(ps), 2) is True
+
+    def test_k6_full_violation_list(self):
+        from tomobound.construct import fat_tree, fat_tree_all_pair_paths
+
+        violations = check_consistency(fat_tree_all_pair_paths(fat_tree(6))).violations
+        assert len(violations) == 20_088
+        # recorded with the node->paths index that the bitset screen replaced
+        digest = hashlib.sha256("\n".join(map(str, violations)).encode()).hexdigest()
+        assert digest == "a976099811c941852d8c7a0aac3458a0f8f6c818b95dd749d09ceb14027a9b9c"
 
 
 def path_is_shortest(g, path):
@@ -297,6 +318,8 @@ def simple_path_sets(draw):
 REVERSED_RUN = PathSet.from_sequences([[0, 1, 2, 3], [4, 3, 2, 1, 5]])
 SPLIT_RUN = PathSet.from_sequences([[0, 1, 2, 3, 4], [5, 1, 2, 6, 3, 4]])
 SINGLE_NODE = PathSet.from_sequences([[0, 1, 2], [3, 1, 4]])
+# the shared nodes 1, 2, 3 are contiguous in both paths, in another order
+REORDERED_RUN = PathSet.from_sequences([[0, 1, 2, 3], [5, 1, 3, 2, 6]])
 
 
 @settings(max_examples=400, deadline=None)
@@ -304,6 +327,7 @@ SINGLE_NODE = PathSet.from_sequences([[0, 1, 2], [3, 1, 4]])
 @example(REVERSED_RUN)
 @example(SPLIT_RUN)
 @example(SINGLE_NODE)
+@example(REORDERED_RUN)
 def test_check_consistency_matches_pairwise_oracle(ps):
     ref = reference_check_consistency(ps)
     assert check_consistency(ps) == ref
@@ -318,6 +342,7 @@ def test_check_consistency_matches_pairwise_oracle(ps):
 @example(REVERSED_RUN)
 @example(SPLIT_RUN)
 @example(SINGLE_NODE)
+@example(REORDERED_RUN)
 def test_q_lower_bound_matches_path_matrix_oracle(ps):
     assert q_lower_bound(ps) == reference_q_lower_bound(ps)
 
