@@ -134,10 +134,10 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
     if spec.server is not None and not 0 <= spec.server < g.node_count:
         raise ValueError(f"server {spec.server} is not a node of the {g.node_count}-node topology")
     rng = random.Random(spec.seed)
-    adj = g.adjacency()
-    dangling = [u for u in range(g.node_count) if len(adj[u]) == 1]
+    degree = [len(row) for row in g.neighbours]
+    dangling = [u for u in range(g.node_count) if degree[u] == 1]
     eligible_base = dangling if dangling else list(range(g.node_count))
-    servers = [u for u in range(g.node_count) if len(adj[u]) > 1] or list(range(g.node_count))
+    servers = [u for u in range(g.node_count) if degree[u] > 1] or list(range(g.node_count))
     d_label = spec.d_max if spec.d_max is not None else ""
     rows = []
     for m in spec.m_values:

@@ -64,9 +64,12 @@ def one_identifiable_set(t: TestingMatrix) -> tuple[int, frozenset[int]]:
 
 
 def _guard_oracle_size(n: int, k: int, work_cap: int) -> None:
-    if comb(n, k) ** 2 > work_cap:
+    """Refuse when the enumeration would visit more than ``work_cap`` failure sets."""
+    subsets = sum(comb(n, i) for i in range(1, k + 1))
+    if subsets > work_cap:
         raise OracleTooLargeError(
-            f"oracle too large: C({n},{k})^2 = {comb(n, k) ** 2} exceeds work cap {work_cap}"
+            f"oracle too large: {subsets} failure sets (sum of C({n},i) for i=1..{k}) "
+            f"exceed work cap {work_cap}"
         )
 
 

@@ -8,6 +8,7 @@ keep the names, and the edge-list writer takes them as comments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -38,6 +39,18 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node u, the sorted pairs ``(v, 1 << rank)`` of its edges, rank
+        being the edge's position in sorted edge order. Built on first use and
+        kept on this graph object; the fields, equality and hash ignore it."""
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
+        for rank, (u, v) in enumerate(sorted(self.edges)):
+            bit = 1 << rank
+            rows[u].append((v, bit))
+            rows[v].append((u, bit))
+        return tuple(tuple(sorted(row)) for row in rows)
 
     def adjacency(self) -> dict[int, list[int]]:
         """Fresh adjacency map with sorted neighbor lists."""

@@ -188,17 +188,18 @@ def shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
     ``mask(u) | bit(u, v)``. The map lists every node reachable from ``src``
     after its parent, with ``src`` first as its own parent.
     """
-    bit = {e: 1 << rank for rank, e in enumerate(sorted(g.edges))}
-    adj = g.adjacency()
+    if not 0 <= src < g.node_count:
+        raise ValueError(f"node {src} out of range")
+    neighbours = g.neighbours
     parent: dict[int, int] = {src: src}
     layer: dict[int, int] = {src: 0}  # node -> edge mask of its tree path
     while layer:
         nxt: dict[int, int] = {}
         for u, mask in layer.items():
-            for v in adj[u]:
+            for v, bit in neighbours[u]:
                 if v in parent and v not in nxt:
                     continue
-                key = mask | bit[_norm_edge(u, v)]
+                key = mask | bit
                 if v not in nxt or key < nxt[v]:
                     nxt[v] = key
                     parent[v] = u

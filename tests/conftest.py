@@ -108,7 +108,9 @@ def _edge_costs(g: Graph) -> dict[tuple[int, int], int]:
 
 def reference_shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
     """Weighted-Dijkstra oracle for ``routing.shortest_path_tree``: the hop
-    count and the edge-set order are folded into one |E|-bit cost per edge."""
+    count and the edge-set order are folded into one |E|-bit cost per edge.
+    The map lists nodes in the order a plain breadth-first search over sorted
+    neighbour lists meets them, the order the router's map promises."""
     costs = _edge_costs(g)
     adj = g.adjacency()
     dist: dict[int, int] = {src: 0}
@@ -126,7 +128,14 @@ def reference_shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
                 dist[v] = nd
                 parent[v] = u
                 heapq.heappush(heap, (nd, v))
-    return parent
+    order = [src]
+    seen = {src}
+    for u in order:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return {v: parent[v] for v in order}
 
 
 def reference_arrange_top_layer(

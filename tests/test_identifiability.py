@@ -183,6 +183,13 @@ class TestKIdentifiability:
         with pytest.raises(OracleTooLargeError, match="oracle too large"):
             count_k_identifiable(t, 4, work_cap=1000)
 
+    def test_half_grid_k3_within_default_cap(self):
+        # 7,806 failure sets of size 1..3; C(36,3)^2 would be about 5.1e7
+        hg = half_grid(8)
+        t = testing_matrix(hg.paths, hg.graph.node_count)
+        ident = {v for v in range(t.n) if is_k_identifiable(t, v, 3)}
+        assert ident == brute_force_k_identifiable_set(t, 3)
+
     def test_k_must_be_positive(self):
         t = testing_matrix(PathSet.from_sequences([[0]]), 1)
         with pytest.raises(ValueError):

@@ -264,11 +264,41 @@ def graphs(draw):
 def test_spt_matches_dijkstra_oracle(g):
     for src in range(g.node_count):
         parent = shortest_path_tree(g, src)
-        assert parent == reference_shortest_path_tree(g, src)
+        assert list(parent.items()) == list(reference_shortest_path_tree(g, src).items())
         seen = set()
         for v, u in parent.items():
             assert u in seen or u == v == src
             seen.add(v)
+
+
+def test_spt_reuses_one_graphs_table_on_a_grid():
+    # a 30x30 grid has many equal-hop routes; every call after the first
+    # reads the neighbour table that the first call built on this object
+    w = 30
+    g = build_graph(
+        [(u, u + 1) for u in range(w * w) if (u + 1) % w]
+        + [(u, u + w) for u in range(w * w - w)]
+    )
+    for src in range(0, w * w, 83):
+        parent = shortest_path_tree(g, src)
+        assert list(parent.items()) == list(reference_shortest_path_tree(g, src).items())
+
+
+@pytest.mark.parametrize("src", [-1, 4])
+def test_spt_rejects_source_out_of_range(src):
+    g = build_graph([(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=f"node {src} out of range"):
+        shortest_path_tree(g, src)
+
+
+def test_spt_table_does_not_leak_through_adjacency():
+    g = build_graph([(0, 1), (1, 2), (0, 3), (3, 2)])
+    before = shortest_path_tree(g, 0)
+    adj = g.adjacency()
+    adj[0].clear()
+    adj[1].append(3)
+    assert g.adjacency() == {0: [1, 3], 1: [0, 2], 2: [1, 3], 3: [0, 2]}
+    assert list(shortest_path_tree(g, 0).items()) == list(before.items())
 
 
 @settings(max_examples=100, deadline=None)
