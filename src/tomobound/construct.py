@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bounds import Rational, Scenario, bound, bound_single_server
 from .identifiability import encoding_string, testing_matrix
@@ -107,6 +107,106 @@ def path_completion(members: frozenset[int], m: int, d: Sequence[int]) -> frozen
     raise ConstructionError("no eligible encoding found for path completion")
 
 
+def _candidate_steps(
+    m: int, width: int, taken: set[int]
+) -> Callable[[Sequence[int]], Iterator[tuple[tuple[int, ...], int]]]:
+    """Candidate source for one top-layer search: ``candidates(residual)``
+    yields, with its encoding, each width-subset of the paths with residual
+    >= 1 that is not in ``taken``, largest residual profile first, ties by
+    path index.
+
+    The paths fall into classes by residual value, largest first. A subset's
+    profile is fixed by how many paths it takes from each class, so count
+    vectors in descending lexicographic order give the profiles from largest
+    down; within one vector the subsets come in path-index order. ``residual``
+    is read when ``candidates`` is called, ``taken`` as each subset is
+    yielded: the search restores ``taken`` before it resumes a step. Per
+    residual vector the groups are kept, and per group the subsets generated
+    so far, extended only as far as some step reads.
+    """
+    plans: dict[tuple[int, ...], list[tuple[list, Iterator]]] = {}
+    groups: dict[tuple, tuple[list, Iterator]] = {}
+
+    def plan(residual: tuple[int, ...]) -> Iterator[tuple[list, Iterator]]:
+        values = sorted({r for r in residual if r >= 1}, reverse=True)
+        classes = [tuple(k for k in range(m) if residual[k] == v) for v in values]
+        # count vectors class by class, largest count first, keeping only the
+        # prefixes that the later classes can still fill
+        vectors: list[tuple[int, ...]] = [()] if classes else []
+        rest = sum(map(len, classes))
+        for members in classes:
+            rest -= len(members)
+            vectors = [
+                v + (c,)
+                for v in vectors
+                for c in range(min(len(members), width - sum(v)), -1, -1)
+                if width - sum(v) - c <= rest
+            ]
+        for v in vectors:
+            parts = tuple((members, c) for members, c in zip(classes, v) if c)
+            if parts not in groups:
+                subsets = combinations(*parts[0]) if len(parts) == 1 else _quota_subsets(parts)
+                groups[parts] = ([], ((s, _mask(s)) for s in subsets))
+            yield groups[parts]
+
+    def candidates(residual: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+        key = tuple(residual)
+        if key not in plans:
+            plans[key] = list(plan(key))
+        return (found for g in plans[key] for found in _drain(g) if found[1] not in taken)
+
+    return candidates
+
+
+def _drain(group: tuple[list, Iterator]) -> Iterator:
+    """Items of a memoised group: those already generated, then new ones from
+    its source, which are appended for the next reader."""
+    seen, source = group
+    i = 0
+    while True:
+        if i == len(seen):
+            item = next(source, None)
+            if item is None:
+                return
+            seen.append(item)
+        yield seen[i]
+        i += 1
+
+
+def _quota_subsets(parts: Sequence[tuple[tuple[int, ...], int]]) -> Iterator[tuple[int, ...]]:
+    """Subsets taking ``count`` paths from each ``(members, count)`` class, in
+    path-index order: a lexicographic walk over the merged classes that takes
+    each path while its class still needs one, and on the way back leaves out
+    the last taken path whose class has enough paths after it."""
+    pool = sorted((k, j) for j, (members, _) in enumerate(parts) for k in members)
+    left = [0] * len(pool)  # left[p]: paths of pool[p]'s class at p or later
+    counts = [0] * len(parts)
+    for p in range(len(pool) - 1, -1, -1):
+        counts[pool[p][1]] += 1
+        left[p] = counts[pool[p][1]]
+    need = [count for _, count in parts]
+    width = sum(need)
+    chosen: list[int] = []
+    p = 0
+    while True:
+        while len(chosen) < width:
+            j = pool[p][1]
+            if need[j]:
+                need[j] -= 1
+                chosen.append(p)
+            p += 1
+        yield tuple(pool[q][0] for q in chosen)
+        while chosen:
+            q = chosen.pop()
+            j = pool[q][1]
+            need[j] += 1
+            if need[j] < left[q]:
+                p = q + 1
+                break
+        else:
+            return
+
+
 def _arrange_top_layer(
     m: int, imax: int, residual: list[int], taken: set[int], target: int
 ) -> None:
@@ -118,20 +218,18 @@ def _arrange_top_layer(
     itself, e.g. six paths of residual 2 where the lexicographic choice leaves
     only an already-used pair). The first solution in this order is taken, so
     the result is deterministic. The search is depth-first over an explicit
-    stack holding, per placed encoding, the candidates not yet tried at its step.
+    stack holding, per placed encoding, the iterator over its step's
+    candidates. Each iterator generates its candidates lazily in that order
+    (see :func:`_candidate_steps`), so a step costs only the candidates it
+    consumes, not all C(eligible, imax+1) subsets.
     """
-    width = imax + 1
+    candidates = _candidate_steps(m, imax + 1, taken)
     picked: list[tuple[int, ...]] = []
-    pending: list[Iterator[tuple[int, ...]]] = []
+    pending: list[Iterator[tuple[tuple[int, ...], int]]] = []
     examined = 0
     while len(picked) < target:
-        eligible = [k for k in range(m) if residual[k] >= 1]
-        candidates = [s for s in combinations(eligible, width) if _mask(s) not in taken]
-        # stable over the lexicographic combinations, so equal profiles keep
-        # their path-index order
-        candidates.sort(key=lambda s: sorted(-residual[k] for k in s))
-        pending.append(iter(candidates))
-        while (subset := next(pending[-1], None)) is None:
+        pending.append(candidates(residual))
+        while (found := next(pending[-1], None)) is None:
             pending.pop()
             if not pending:
                 raise ConstructionError(
@@ -148,9 +246,10 @@ def _arrange_top_layer(
                 "crossing-arrangement search space too large; "
                 "reduce m or the requested average length"
             )
+        subset, bits = found
         for k in subset:
             residual[k] -= 1
-        taken.add(_mask(subset))
+        taken.add(bits)
         picked.append(subset)
 
 

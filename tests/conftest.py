@@ -198,6 +198,20 @@ def reference_arrange_top_layer(
     return picked
 
 
+def reference_candidate_order(
+    m: int, width: int, residual: list[int], taken: set[int]
+) -> list[tuple[int, ...]]:
+    """The candidates of one top-layer search step as the search once built
+    them: every width-subset of the paths with residual >= 1 that is not
+    taken, stably sorted by residual profile, largest first, over the
+    lexicographic combinations."""
+    eligible = [k for k in range(m) if residual[k] >= 1]
+    candidates = [
+        s for s in combinations(eligible, width) if sum(1 << k for k in s) not in taken
+    ]
+    return sorted(candidates, key=lambda s: sorted(-residual[k] for k in s))
+
+
 def reference_check_consistency(ps: PathSet) -> ConsistencyReport:
     """Compare the sub-path between every shared node pair of every path pair.
 

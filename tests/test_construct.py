@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tomobound.construct
-from conftest import reference_arrange_top_layer
+from conftest import reference_arrange_top_layer, reference_candidate_order
 from tomobound.bounds import bound, bound_from_nmax, bound_single_server, z_fb
 from tomobound.construct import (
     ConstructionError,
@@ -78,6 +79,22 @@ def top_layer_states(draw):
     taken = draw(st.sets(st.sampled_from(top)))
     target = draw(st.integers(1, 4))
     return m, imax, residual, taken, target
+
+
+@st.composite
+def candidate_states(draw):
+    """One top-layer step: residuals 0..5, so that several residual classes
+    meet in one step, and a random set of taken width-subsets."""
+    m = draw(st.integers(1, 9))
+    width = draw(st.integers(1, m))
+    residual = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+    top = [sum(1 << k for k in s) for s in combinations(range(m), width)]
+    taken = draw(st.sets(st.sampled_from(top)))
+    return m, width, residual, taken
+
+
+def with_masks(subsets):
+    return [(s, sum(1 << k for k in s)) for s in subsets]
 
 
 class TestIca:
@@ -175,6 +192,41 @@ class TestIca:
         head = top_layer_outcome(tomobound.construct._arrange_top_layer, *state)
         assert head == top_layer_outcome(reference_arrange_top_layer, *state)
 
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_states())
+    def test_candidate_order_matches_sorted_reference(self, state):
+        m, width, residual, taken = state
+        got = list(tomobound.construct._candidate_steps(m, width, taken)(residual))
+        assert got == with_masks(reference_candidate_order(*state))
+
+    def test_candidate_steps_share_groups(self):
+        # as in the search: step a yields (0, 1), which is taken, step b runs
+        # dry, the pick is undone and step a resumes. The residual-1 class
+        # {5, 6} is the same in both steps, so b drains the group (({5, 6}, 2),)
+        # that a reaches afterwards, and both read the one memoised list
+        m, width = 7, 2
+        residual, taken = [3, 3, 2, 2, 2, 1, 1], {0b1100}
+        candidates = tomobound.construct._candidate_steps(m, width, taken)
+        a = candidates(residual)
+        first = next(a)
+        assert first == ((0, 1), 0b11)
+        taken.add(first[1])
+        after = [3 - 1, 3 - 1, 2, 2, 2, 1, 1]
+        assert list(candidates(after)) == with_masks(reference_candidate_order(m, width, after, taken))
+        taken.discard(first[1])
+        assert [first, *a] == with_masks(reference_candidate_order(m, width, residual, taken))
+
+    def test_candidate_steps_interleave_on_one_residual(self):
+        # two iterators over one residual vector read the same groups; the
+        # second drains them while the first is part-way through a group
+        m, width, residual, taken = 8, 3, [2, 1, 2, 1, 2, 1, 2, 1], {0b111, 0b10101}
+        want = with_masks(reference_candidate_order(m, width, residual, taken))
+        candidates = tomobound.construct._candidate_steps(m, width, taken)
+        a = candidates(residual)
+        head = [next(a) for _ in range(5)]
+        assert list(candidates(residual)) == want
+        assert head + list(a) == want
+
     def test_deep_top_layer_needs_no_recursion(self):
         # 252 top-layer encodings, each of which was one stack frame deeper
         limit = sys.getrecursionlimit()
@@ -184,6 +236,25 @@ class TestIca:
         finally:
             sys.setrecursionlimit(limit)
         assert len(inst.encodings) == bound_from_nmax(12, None, 12 * 151)
+
+    def test_large_top_layer_builds(self):
+        # C(20, 5) = 15,504 candidates per step over 3,360 steps: the search
+        # that built and sorted every step's candidates needed minutes
+        inst = ica(20, 2000)
+        expected = bound_from_nmax(20, None, 20 * 2000)
+        assert phi1(inst) == len(inst.encodings) == expected
+        assert len(set(inst.encodings)) == expected
+        assert loads(inst.encodings, 20) == inst.meta["lengths"]
+
+    def test_top_layer_search_memory(self):
+        # whole candidate lists for ica(16, 200) peaked at about 40 MiB
+        tracemalloc.start()
+        try:
+            ica(16, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_full_size_files_unchanged(self, tmp_path, capsys):
         # sha256 of the files written by ``construct ica --m 16 --dbar 200``,
