@@ -98,81 +98,13 @@ def _as_fraction(d: Rational, name: str) -> Fraction:
     return d
 
 
-def _integral_budget(m: int, d: Fraction) -> int:
+def _integral_total(m: int, d: Fraction) -> int:
     total = m * d
     if total.denominator != 1:
         raise ValueError(
             f"m*d = {total} is not an integer; the encoding budget N_max must be integral"
         )
     return int(total)
-
-
-# Per-path cap on the encoding budget of each routing-constrained scenario, as
-# a function of (m, q); their N_max is min(m*d, m*cap).
-_PATH_CAPS = {
-    Scenario.ARBITRARY_AVG: lambda m, q: 1 << (m - 1),
-    Scenario.ARBITRARY_MAX: lambda m, q: 1 << (m - 1),
-    Scenario.CONSISTENT_AVG: lambda m, q: 2 * (m - 1),
-    Scenario.CONSISTENT_MAX: lambda m, q: 2 * (m - 1),
-    Scenario.PARTIAL_CONSISTENT: lambda m, q: min(1 << (m - 1), 2 * q * (m - 1)),
-}
-
-
-def _warn_degenerate_m1(scenario: Scenario) -> tuple[str, ...]:
-    note = (
-        f"{scenario.value}: m=1 is outside the theorem precondition m>1; "
-        "the 2(m-1)-style cap is applied literally and yields N_max=0"
-    )
-    warnings.warn(note, stacklevel=3)
-    return (note,)
-
-
-def n_max(
-    scenario: Scenario,
-    m: int,
-    d: Rational | None = None,
-    q: int | None = None,
-    m_s: Sequence[int] | None = None,
-    s: int | None = None,
-) -> int:
-    """Scenario-specific encoding budget N_max, always an exact integer.
-
-    The flexible-assignment budget may be fractional before flooring; use
-    :func:`n_max_flexible_exact` for the pre-floor rational.
-    """
-    return _budget(scenario, m, d, q, m_s, s)[0]
-
-
-def _budget(
-    scenario: Scenario,
-    m: int,
-    d: Rational | None,
-    q: int | None,
-    m_s: Sequence[int] | None,
-    s: int | None,
-) -> tuple[int, Fraction | None]:
-    """N_max, and the pre-floor rational it came from when flooring changed it."""
-    _check_m(m)
-    if scenario is Scenario.ARBITRARY_UNBOUNDED:
-        return m * (1 << (m - 1)), None
-    if scenario in _PATH_CAPS:
-        if scenario is Scenario.PARTIAL_CONSISTENT and (q is None or q < 1):
-            raise ValueError("partial consistency requires q >= 1")
-        # the integrality requirement is on m*d itself (sum of integer lengths),
-        # so validate before applying the scenario cap
-        budget = _integral_budget(m, _as_fraction(d, "d"))
-        return min(budget, m * _PATH_CAPS[scenario](m, q)), None
-    if scenario is Scenario.MULTI_FIXED:
-        if m_s is None:
-            raise ValueError("multi-fixed requires the per-server client vector m_s")
-        return _nmax_multi_fixed(tuple(m_s), m, _as_fraction(d, "d")), None
-    if scenario is Scenario.MULTI_FLEXIBLE:
-        if s is None:
-            raise ValueError("multi-flexible requires the server count S")
-        exact = n_max_flexible_exact(m, s, d)
-        nmax = exact.numerator // exact.denominator
-        return nmax, exact if exact != nmax else None
-    raise ValueError(f"scenario {scenario} has no N_max formula (use bound() instead)")
 
 
 def _nmax_multi_fixed(m_s: tuple[int, ...], m: int, d: Fraction) -> int:
@@ -186,7 +118,7 @@ def _nmax_multi_fixed(m_s: tuple[int, ...], m: int, d: Fraction) -> int:
     if sum(m_s) > m:
         raise ValueError(f"client slots m_s={list(m_s)} sum to more than the m={m} clients")
     tree_side = sum(psi_tree(v) + 2 * v * (m - v) for v in m_s)
-    return min(_integral_budget(m, d), tree_side)
+    return min(_integral_total(m, d), tree_side)
 
 
 def n_max_flexible_exact(m: int, s: int, d: Rational) -> Fraction:
@@ -199,7 +131,7 @@ def n_max_flexible_exact(m: int, s: int, d: Rational) -> Fraction:
         raise ValueError(f"S={s} servers exceed the m={m} clients; every server needs a client")
     dd = _as_fraction(d, "d")
     relaxed = Fraction(m * m) * (2 - Fraction(3, 2 * s)) + Fraction(3 * m, 2) - s
-    return min(Fraction(_integral_budget(m, dd)), relaxed)
+    return min(Fraction(_integral_total(m, dd)), relaxed)
 
 
 def i_max(m: int, nmax: int) -> int:
@@ -266,10 +198,6 @@ def bound_single_server(m: int, n: int | None, d_max: int) -> BoundResult:
     )
 
 
-def bound_multi_fixed(m_s: Sequence[int], m: int, n: int | None, d: Rational) -> BoundResult:
-    return bound(Scenario.MULTI_FIXED, m, n, d, m_s=m_s)
-
-
 def bound_multi_flexible(m: int, s: int, n: int | None, d: Rational) -> BoundResult:
     return bound(Scenario.MULTI_FLEXIBLE, m, n, d, s=s)
 
@@ -292,9 +220,11 @@ def bound(
     scenario = Scenario(scenario)
     _check_m(m)
     if scenario is Scenario.ARBITRARY_UNBOUNDED:
+        # 2^m - 1 >= n exactly when m >= n.bit_length(); build 2^m only below that
+        full = n if n is not None and m >= n.bit_length() else (1 << m) - 1
         return BoundResult(
             scenario=scenario.value, m=m, n=n, d=None, d_kind=None,
-            n_max=None, i_max=None, bound=_cap_by_n((1 << m) - 1, n),
+            n_max=None, i_max=None, bound=_cap_by_n(full, n),
         )
     if d is None:
         raise ValueError(f"scenario {scenario.value} requires a path-length parameter")
@@ -304,17 +234,46 @@ def bound(
             raise ValueError("single-server d_max must be an integer")
         return bound_single_server(m, n, int(dd))
 
+    consistent = (Scenario.CONSISTENT_AVG, Scenario.CONSISTENT_MAX)
     notes: tuple[str, ...] = ()
-    cap = _PATH_CAPS.get(scenario)
-    if m == 1 and cap is not None and cap(1, 1) == 0:  # q cannot lift a cap with factor m-1
-        notes = _warn_degenerate_m1(scenario)
-    nmax, exact = _budget(scenario, m, d, q, m_s, s)
-    servers = clients = None
+    if m == 1 and scenario in (*consistent, Scenario.PARTIAL_CONSISTENT):
+        # q cannot lift a cap with factor m-1
+        notes = (
+            f"{scenario.value}: m=1 is outside the theorem precondition m>1; "
+            "the 2(m-1)-style cap is applied literally and yields N_max=0",
+        )
+        warnings.warn(notes[0], stacklevel=2)
+    exact = servers = clients = None
     if scenario is Scenario.MULTI_FIXED:
+        if m_s is None:
+            raise ValueError("multi-fixed requires the per-server client vector m_s")
         clients = tuple(m_s)
         servers = len(clients)
+        nmax = _nmax_multi_fixed(clients, m, _as_fraction(d, "d"))
     elif scenario is Scenario.MULTI_FLEXIBLE:
+        if s is None:
+            raise ValueError("multi-flexible requires the server count S")
         servers = s
+        exact = n_max_flexible_exact(m, s, d)
+        nmax = exact.numerator // exact.denominator
+        if exact == nmax:
+            exact = None
+    else:
+        if scenario is Scenario.PARTIAL_CONSISTENT and (q is None or q < 1):
+            raise ValueError("partial consistency requires q >= 1")
+        # the integrality requirement is on m*d itself (sum of integer lengths),
+        # so validate before applying the per-path cap: 2(m-1) encodings under
+        # consistent routing, 2^(m-1) under arbitrary, and both 2^(m-1) and
+        # 2q(m-1) under 1/q-consistent routing
+        nmax = _integral_total(m, _as_fraction(d, "d"))
+        if scenario in consistent:
+            nmax = min(nmax, 2 * m * (m - 1))
+        else:
+            # 2^(m-1) > nmax when m-1 >= nmax.bit_length(); build it only below that
+            if m - 1 < nmax.bit_length():
+                nmax = min(nmax, m << (m - 1))
+            if scenario is Scenario.PARTIAL_CONSISTENT:
+                nmax = min(nmax, 2 * q * m * (m - 1))
     return BoundResult(
         scenario=scenario.value,
         m=m,

@@ -28,7 +28,7 @@ from .experiments import ExperimentSpec, run_experiment
 from .identifiability import (
     DEFAULT_WORK_CAP,
     OracleTooLargeError,
-    count_k_identifiable,
+    k_identifiable_set,
     one_identifiable_set,
     testing_matrix,
 )
@@ -148,7 +148,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             report["consistency_violations"] = ["paths are not simple; consistency not defined"]
         if args.k is not None:
             report["k"] = args.k
-            report["phi_k"] = count_k_identifiable(t, args.k, work_cap=_work_cap())
+            report["phi_k"] = k_identifiable_set(t, args.k, work_cap=_work_cap())[0]
     print(json.dumps(report, indent=1))
     return CHECK_VIOLATIONS if violations else 0
 

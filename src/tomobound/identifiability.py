@@ -73,13 +73,17 @@ def _guard_oracle_size(n: int, k: int, work_cap: int) -> None:
         )
 
 
-def _k_identifiable_profile(t: TestingMatrix, k: int, work_cap: int) -> frozenset[int]:
-    """Exhaustive evaluation of k-identifiability for every node at once.
+def k_identifiable_set(
+    t: TestingMatrix, k: int, work_cap: int = DEFAULT_WORK_CAP
+) -> tuple[int, frozenset[int]]:
+    """Nodes that are k-identifiable, with their count, by exhaustive enumeration.
 
-    Enumerates every failure set F with |F| <= k, grouping the OR of member
-    encodings (the incident-path signature). A node v fails iff some signature
-    is reachable both with v failed and with v working, i.e. v lies in the
-    union but not the intersection of that signature's failure sets.
+    Node v is k-identifiable iff any two failure sets of size <= k that differ
+    on v produce different sets of failed paths. Every failure set F with
+    |F| <= k is enumerated, grouping the OR of member encodings (the
+    incident-path signature). Node v fails the test iff some signature is
+    reachable both with v failed and with v working, i.e. v lies in the union
+    but not the intersection of that signature's failure sets.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -104,21 +108,8 @@ def _k_identifiable_profile(t: TestingMatrix, k: int, work_cap: int) -> frozense
     for sig, union in union_of.items():
         bad |= union & ~inter_of[sig]
     good = all_nodes & ~bad
-    return frozenset(j for j in range(t.n) if good >> j & 1)
-
-
-def is_k_identifiable(
-    t: TestingMatrix, v: int, k: int, work_cap: int = DEFAULT_WORK_CAP
-) -> bool:
-    """True iff any two failure sets of size <= k differing on ``v`` produce
-    different sets of failed paths (exhaustive enumeration)."""
-    if not 0 <= v < t.n:
-        raise ValueError(f"node {v} out of range")
-    return v in _k_identifiable_profile(t, k, work_cap)
-
-
-def count_k_identifiable(t: TestingMatrix, k: int, work_cap: int = DEFAULT_WORK_CAP) -> int:
-    return len(_k_identifiable_profile(t, k, work_cap))
+    ident = frozenset(j for j in range(t.n) if good >> j & 1)
+    return len(ident), ident
 
 
 @dataclass(frozen=True)
@@ -128,9 +119,6 @@ class PathMatrix:
     path_index: int
     m: int
     rows: tuple[int, ...]
-
-    def distinct_row_count(self) -> int:
-        return len(set(self.rows))
 
 
 def path_matrix(ps: PathSet, t: TestingMatrix, i: int) -> PathMatrix:

@@ -52,16 +52,6 @@ class Graph:
             rows[v].append((u, bit))
         return tuple(tuple(sorted(row)) for row in rows)
 
-    def adjacency(self) -> dict[int, list[int]]:
-        """Fresh adjacency map with sorted neighbor lists."""
-        adj: dict[int, list[int]] = {u: [] for u in range(self.node_count)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for nbrs in adj.values():
-            nbrs.sort()
-        return adj
-
 
 def build_graph(edge_list: Iterable[tuple[int, int]], node_count: int | None = None) -> Graph:
     """Build a :class:`Graph` from node-id pairs, deduplicating undirected edges.

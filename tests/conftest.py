@@ -22,6 +22,17 @@ from tomobound.routing import ConsistencyReport, ConsistencyViolation, _require_
 tomobound.identifiability.testing_matrix.__test__ = False
 
 
+def adjacency(g: Graph) -> dict[int, list[int]]:
+    """Fresh adjacency map with sorted neighbour lists, built from the edge set."""
+    adj: dict[int, list[int]] = {u: [] for u in range(g.node_count)}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj.values():
+        nbrs.sort()
+    return adj
+
+
 def brute_force_k_identifiable(t: TestingMatrix, v: int, k: int) -> bool:
     """Literal evaluation: for all F1, F2 with |Fj| <= k and F1 and F2 differing
     on v, the ORs of member encodings must differ."""
@@ -62,7 +73,7 @@ def random_instance(rng: random.Random, max_n: int = 12, max_m: int = 4):
         a, b = rng.sample(range(n), 2)
         edges.add((min(a, b), max(a, b)))
     g = build_graph(sorted(edges), node_count=n)
-    adj = g.adjacency()
+    adj = adjacency(g)
     paths = []
     for _ in range(m):
         start = rng.randrange(n)
@@ -112,7 +123,7 @@ def reference_shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
     The map lists nodes in the order a plain breadth-first search over sorted
     neighbour lists meets them, the order the router's map promises."""
     costs = _edge_costs(g)
-    adj = g.adjacency()
+    adj = adjacency(g)
     dist: dict[int, int] = {src: 0}
     parent: dict[int, int] = {src: src}
     heap: list[tuple[int, int]] = [(0, src)]

@@ -12,9 +12,9 @@ import pytest
 
 from conftest import brute_force_k_identifiable_set, random_connected_graph, random_instance
 from tomobound.bounds import (
+    Scenario,
     bound,
     bound_from_nmax,
-    bound_multi_fixed,
     bound_multi_flexible,
     bound_single_server,
     z_fb,
@@ -24,7 +24,7 @@ from tomobound.experiments import ExperimentSpec, run_experiment
 from tomobound.fixtures import fat_tree_cover_pairs
 from tomobound.identifiability import (
     column_run_counts,
-    count_k_identifiable,
+    k_identifiable_set,
     one_identifiable_set,
     path_matrix,
     testing_matrix,
@@ -95,7 +95,7 @@ def test_criterion_4_oracle_equivalence():
         t = testing_matrix(ps, g.node_count)
         count1, ident1 = one_identifiable_set(t)
         assert ident1 == brute_force_k_identifiable_set(t, 1), i
-        counts = [count1] + [count_k_identifiable(t, k) for k in (2, 3)]
+        counts = [count1] + [k_identifiable_set(t, k)[0] for k in (2, 3)]
         assert counts[0] >= counts[1] >= counts[2], (i, counts)
     report(4, "100 random instances: set equality with the brute-force oracle at k=1, "
               "and phi_1 >= phi_2 >= phi_3")
@@ -141,9 +141,9 @@ def test_criterion_6_fat_tree():
 def test_criterion_7_multi_server():
     for m in range(1, 13):
         flexible = bound_multi_flexible(m, 1, None, 10**6)
-        fixed = bound_multi_fixed((m,), m, None, 10**6)
+        fixed = bound(Scenario.MULTI_FIXED, m, None, 10**6, m_s=(m,))
         assert (flexible.n_max, flexible.bound) == (fixed.n_max, fixed.bound), m
-    both = [bound_multi_flexible(6, 2, 108, 20), bound_multi_fixed((3, 3), 6, 108, 20)]
+    both = [bound_multi_flexible(6, 2, 108, 20), bound(Scenario.MULTI_FIXED, 6, 108, 20, m_s=(3, 3))]
     for r in both:
         assert r.n_max == 52 and r.bound == 26
     from itertools import combinations_with_replacement
@@ -153,7 +153,8 @@ def test_criterion_7_multi_server():
             flexible = bound_multi_flexible(m, s, None, 10**6).bound
             for split in combinations_with_replacement(range(1, m + 1), s):
                 if sum(split) == m:
-                    assert bound_multi_fixed(split, m, None, 10**6).bound <= flexible, (m, s, split)
+                    fixed = bound(Scenario.MULTI_FIXED, m, None, 10**6, m_s=split).bound
+                    assert fixed <= flexible, (m, s, split)
     report(7, "flexible(S=1) == fixed((m,)) for m<=12; (m=6,S=2,d=20) gives N=52/bound=26 "
               "both ways; no split ever exceeds the flexible bound")
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -10,11 +11,9 @@ from tomobound.bounds import (
     Scenario,
     bound,
     bound_from_nmax,
-    bound_multi_fixed,
     bound_multi_flexible,
     bound_single_server,
     i_max,
-    n_max,
     n_max_flexible_exact,
     psi_tree,
     z_fb,
@@ -34,36 +33,33 @@ def i_max_by_scan(m: int, nmax: int) -> int:
 
 class TestNmax:
     def test_arbitrary_avg_example_a(self):
-        assert n_max(Scenario.ARBITRARY_AVG, 4, 3) == 12
+        assert bound(Scenario.ARBITRARY_AVG, 4, None, 3).n_max == 12
 
     def test_arbitrary_avg_example_b(self):
-        assert n_max(Scenario.ARBITRARY_AVG, 4, Fraction(17, 4)) == 17
+        assert bound(Scenario.ARBITRARY_AVG, 4, None, Fraction(17, 4)).n_max == 17
 
     def test_consistent_avg(self):
         # 8 * min(8.75, 14) = 70; the final bound 38 is cross-checked below
-        assert n_max(Scenario.CONSISTENT_AVG, 8, Fraction(35, 4)) == 70
+        assert bound(Scenario.CONSISTENT_AVG, 8, None, Fraction(35, 4)).n_max == 70
 
     def test_partial_q1_equals_consistent(self):
         for m in range(1, 13):
             for d in range(1, 65):
-                assert n_max(Scenario.PARTIAL_CONSISTENT, m, d, q=1) == n_max(
-                    Scenario.CONSISTENT_AVG, m, d
-                )
+                assert bound(Scenario.PARTIAL_CONSISTENT, m, None, d, q=1).n_max == bound(
+                    Scenario.CONSISTENT_AVG, m, None, d
+                ).n_max
 
     def test_multi_fixed_hand_evaluated(self):
         # sum over two servers of (9+9-2)/2 + 2*3*3 = 8+18 per server
-        assert n_max(Scenario.MULTI_FIXED, 6, 20, m_s=(3, 3)) == min(120, 52)
+        assert bound(Scenario.MULTI_FIXED, 6, None, 20, m_s=(3, 3)).n_max == min(120, 52)
 
     def test_non_integral_budget_rejected(self):
         with pytest.raises(ValueError, match="integer"):
-            n_max(Scenario.ARBITRARY_AVG, 3, Fraction(17, 4))
+            bound(Scenario.ARBITRARY_AVG, 3, None, Fraction(17, 4))
 
     def test_clients_exceed_slots(self):
         with pytest.raises(ValueError, match="exceed"):
-            n_max(Scenario.MULTI_FIXED, 7, 20, m_s=(3, 3))
-
-    def test_unbounded_budget(self):
-        assert n_max(Scenario.ARBITRARY_UNBOUNDED, 4) == 4 * 8
+            bound(Scenario.MULTI_FIXED, 7, None, 20, m_s=(3, 3))
 
 
 class TestImax:
@@ -165,14 +161,14 @@ class TestSingleServer:
 
 class TestMultiServer:
     def test_fixed_derived_example(self):
-        r = bound_multi_fixed((3, 3), 6, 108, 20)
+        r = bound(Scenario.MULTI_FIXED, 6, 108, 20, m_s=(3, 3))
         assert r.n_max == 52
         assert r.i_max == 2
         assert r.bound == 26
 
     def test_single_server_collapse(self):
         for m in range(1, 13):
-            r = bound_multi_fixed((m,), m, None, 10**6)
+            r = bound(Scenario.MULTI_FIXED, m, None, 10**6, m_s=(m,))
             assert r.n_max == psi_tree(m)
 
     def test_flexible_s1_is_psi_tree(self):
@@ -184,20 +180,20 @@ class TestMultiServer:
     def test_flexible_matches_even_split(self):
         r = bound_multi_flexible(6, 2, None, 20)
         assert r.n_max == 52
-        assert r.bound == bound_multi_fixed((3, 3), 6, None, 20).bound == 26
+        assert r.bound == bound(Scenario.MULTI_FIXED, 6, None, 20, m_s=(3, 3)).bound == 26
 
     def test_flexible_dominates_all_splits(self):
         # relaxation dominates every positive integer split summing to m,
         # through the whole pipeline (every server has a client, so s <= m)
         for m in range(1, 13):
             for s in range(1, min(m, 4) + 1):
-                flexible_n = n_max(Scenario.MULTI_FLEXIBLE, m, 10**6, s=s)
-                flexible_b = bound_multi_flexible(m, s, None, 10**6).bound
+                flexible = bound_multi_flexible(m, s, None, 10**6)
                 for split in combinations_with_replacement(range(1, m + 1), s):
                     if sum(split) != m:
                         continue
-                    assert n_max(Scenario.MULTI_FIXED, m, 10**6, m_s=split) <= flexible_n
-                    assert bound_multi_fixed(split, m, None, 10**6).bound <= flexible_b
+                    fixed = bound(Scenario.MULTI_FIXED, m, None, 10**6, m_s=split)
+                    assert fixed.n_max <= flexible.n_max
+                    assert fixed.bound <= flexible.bound
 
     def test_flexible_tight_at_even_integer_split(self):
         # the relaxation peaks at m_s = m/S, so it is attained exactly whenever
@@ -206,7 +202,7 @@ class TestMultiServer:
         for m in range(1, 13):
             for s in range(1, min(m, 4) + 1):
                 best = max(
-                    bound_multi_fixed(split, m, None, 10**6).bound
+                    bound(Scenario.MULTI_FIXED, m, None, 10**6, m_s=split).bound
                     for split in combinations_with_replacement(range(1, m + 1), s)
                     if sum(split) == m
                 )
@@ -218,7 +214,7 @@ class TestMultiServer:
     @pytest.mark.parametrize("m_s", [(2, 0, 0), (1, 0), (3, -1)])
     def test_idle_server_rejected(self, m_s):
         with pytest.raises(ValueError, match=re.escape(f"got m_s={list(m_s)}")):
-            bound_multi_fixed(m_s, 2, 6, 2)
+            bound(Scenario.MULTI_FIXED, 2, 6, 2, m_s=m_s)
 
     def test_idle_server_counterexample_within_bound(self):
         # two clients of one server identify 3 nodes; the bound with the idle
@@ -226,14 +222,14 @@ class TestMultiServer:
         ps = PathSet.from_sequences([[5, 1], [0, 1]])
         phi1 = one_identifiable_set(testing_matrix(ps, 6))[0]
         assert phi1 == 3
-        assert bound_multi_fixed((2,), 2, 6, 2).bound == 3
+        assert bound(Scenario.MULTI_FIXED, 2, 6, 2, m_s=(2,)).bound == 3
 
     def test_surplus_slots_rejected(self):
         # m_s=(3,) for m=2 read 2, below the 3 nodes the same two paths identify
         ps = PathSet.from_sequences([[5, 1], [0, 1]])
         assert one_identifiable_set(testing_matrix(ps, 6))[0] == 3
         with pytest.raises(ValueError, match=re.escape("client slots m_s=[3] sum to more than the m=2")):
-            bound_multi_fixed((3,), 2, 6, 2)
+            bound(Scenario.MULTI_FIXED, 2, 6, 2, m_s=(3,))
 
     def test_idle_flexible_servers_rejected(self):
         # S=20 for m=2 read 0 (n_max_exact -93/10), yet both clients on one
@@ -247,8 +243,8 @@ class TestMultiServer:
             n_max_flexible_exact(2, 3, 2)
 
     def test_uneven_split_strictly_smaller(self):
-        even = bound_multi_fixed((3, 2), 5, None, 10**6).n_max
-        uneven = bound_multi_fixed((4, 1), 5, None, 10**6).n_max
+        even = bound(Scenario.MULTI_FIXED, 5, None, 10**6, m_s=(3, 2)).n_max
+        uneven = bound(Scenario.MULTI_FIXED, 5, None, 10**6, m_s=(4, 1)).n_max
         assert uneven < even
 
     def test_prefloor_rational_recorded(self):
@@ -268,6 +264,32 @@ class TestBoundDispatch:
 
     def test_half_grid_instance(self):
         assert bound("consistent-avg", 8, 36, 8).bound == 36
+
+    def test_power_of_two_caps_match_literal_formula(self):
+        # either side of where the 2^(m-1) and 2^m caps start to bind
+        for m in range(1, 11):
+            for d in range(1, (1 << (m - 1)) + 3):
+                assert bound("arbitrary-avg", m, None, d).n_max == min(m * d, m << (m - 1))
+            for n in range((1 << m) + 2):
+                assert bound("arbitrary-unbounded", m, n).bound == min(n, (1 << m) - 1)
+
+    @pytest.mark.parametrize(
+        "scenario, d, q",
+        [("arbitrary-avg", 3, None), ("arbitrary-max", 3, None),
+         ("partial-consistent", 3, 2), ("arbitrary-unbounded", None, None)],
+    )
+    def test_huge_m_builds_no_power_of_two(self, scenario, d, q):
+        # n caps the result at 5, and 2^(m-1) or 2^m alone would take 25-51 MiB
+        m = 2 * 10**8
+        tracemalloc.start()
+        try:
+            r = bound(scenario, m, 5, d=d, q=q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.bound == 5
+        assert r.n_max == (None if d is None else 3 * m)
+        assert peak < 1 << 20
 
     def test_missing_parameters(self):
         with pytest.raises(ValueError):

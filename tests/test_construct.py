@@ -410,11 +410,11 @@ class TestFatTree:
     def test_switch_port_budget(self):
         for k in (2, 4, 6):
             ft = fat_tree(k)
-            adj = ft.graph.adjacency()
+            nbrs = ft.graph.neighbours
             for sw in ft.aggregation + ft.edge:
-                assert len(adj[sw]) == k
+                assert len(nbrs[sw]) == k
             for c in ft.core:
-                assert len(adj[c]) == k
+                assert len(nbrs[c]) == k
 
     def test_reference_route_inter_pod(self):
         ft = fat_tree(4)

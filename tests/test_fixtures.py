@@ -83,8 +83,7 @@ class TestIsp108:
         g = load_graph("isp108")
         assert g.node_count == 108
         assert len(g.edges) == 141
-        adj = g.adjacency()
-        dangling = [u for u in range(108) if len(adj[u]) == 1]
+        dangling = [u for u in range(108) if len(g.neighbours[u]) == 1]
         assert len(dangling) == 78
 
 

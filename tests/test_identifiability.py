@@ -7,9 +7,8 @@ from conftest import brute_force_k_identifiable, brute_force_k_identifiable_set,
 from tomobound.identifiability import (
     OracleTooLargeError,
     column_run_counts,
-    count_k_identifiable,
     encoding_string,
-    is_k_identifiable,
+    k_identifiable_set,
     one_identifiable_set,
     path_matrix,
     testing_matrix,
@@ -121,32 +120,30 @@ class TestKIdentifiability:
 
     def test_center_not_2_identifiable(self, plus):
         # F1={a,c} and F2={b} share the incident set of both paths
-        assert is_k_identifiable(plus, 1, 2) is False
+        assert 1 not in k_identifiable_set(plus, 2)[1]
         assert brute_force_k_identifiable(plus, 1, 2) is False
 
     def test_all_1_identifiable(self, plus):
-        for v in range(3):
-            assert is_k_identifiable(plus, v, 1) is True
-        count, ident = one_identifiable_set(plus)
-        assert ident == {v for v in range(3) if is_k_identifiable(plus, v, 1)}
+        assert k_identifiable_set(plus, 1) == (3, frozenset(range(3)))
+        assert one_identifiable_set(plus) == k_identifiable_set(plus, 1)
 
     def test_counts_match_brute_force(self, plus):
         # oracle-computed values: the arms fail at k=2 too (F1={x,b} vs F2={b})
-        assert count_k_identifiable(plus, 1) == 3
-        assert count_k_identifiable(plus, 2) == 0
+        assert k_identifiable_set(plus, 1)[0] == 3
+        assert k_identifiable_set(plus, 2) == (0, frozenset())
         assert brute_force_k_identifiable_set(plus, 2) == set()
 
     def test_zero_encoding_node_never_identifiable(self):
         t = testing_matrix(PathSet.from_sequences([[0, 1]]), 3)
         for k in (1, 2, 3):
-            assert is_k_identifiable(t, 2, k) is False
+            assert 2 not in k_identifiable_set(t, k)[1]
 
     def test_disjoint_single_node_paths(self):
         m = 5
         ps = PathSet.from_sequences([[i] for i in range(m)])
         t = testing_matrix(ps, m)
         for k in range(1, m + 1):
-            assert count_k_identifiable(t, k) == m
+            assert k_identifiable_set(t, k)[0] == m
         assert brute_force_k_identifiable_set(t, 3) == set(range(m))
 
     def test_k1_equals_one_identifiable_everywhere(self):
@@ -154,7 +151,7 @@ class TestKIdentifiability:
         for _ in range(30):
             g, ps = random_instance(rng)
             t = testing_matrix(ps, g.node_count)
-            assert count_k_identifiable(t, 1) == one_identifiable_set(t)[0]
+            assert k_identifiable_set(t, 1) == one_identifiable_set(t)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(11)
@@ -163,7 +160,7 @@ class TestKIdentifiability:
             t = testing_matrix(ps, g.node_count)
             for k in (1, 2):
                 expected = brute_force_k_identifiable_set(t, k)
-                assert {v for v in range(t.n) if is_k_identifiable(t, v, k)} == expected
+                assert k_identifiable_set(t, k)[1] == expected
 
     def test_monotone_in_k(self):
         rng = random.Random(13)
@@ -172,7 +169,7 @@ class TestKIdentifiability:
             t = testing_matrix(ps, g.node_count)
             prev = None
             for k in (1, 2, 3):
-                cur = {v for v in range(t.n) if is_k_identifiable(t, v, k)}
+                cur = k_identifiable_set(t, k)[1]
                 if prev is not None:
                     assert cur <= prev
                 prev = cur
@@ -181,19 +178,18 @@ class TestKIdentifiability:
         ps = PathSet.from_sequences([list(range(40))])
         t = testing_matrix(ps, 40)
         with pytest.raises(OracleTooLargeError, match="oracle too large"):
-            count_k_identifiable(t, 4, work_cap=1000)
+            k_identifiable_set(t, 4, work_cap=1000)
 
     def test_half_grid_k3_within_default_cap(self):
         # 7,806 failure sets of size 1..3; C(36,3)^2 would be about 5.1e7
         hg = half_grid(8)
         t = testing_matrix(hg.paths, hg.graph.node_count)
-        ident = {v for v in range(t.n) if is_k_identifiable(t, v, 3)}
-        assert ident == brute_force_k_identifiable_set(t, 3)
+        assert k_identifiable_set(t, 3)[1] == brute_force_k_identifiable_set(t, 3)
 
     def test_k_must_be_positive(self):
         t = testing_matrix(PathSet.from_sequences([[0]]), 1)
         with pytest.raises(ValueError):
-            count_k_identifiable(t, 0)
+            k_identifiable_set(t, 0)
 
 
 class TestPathMatrix:
@@ -226,7 +222,7 @@ class TestPathMatrix:
         for i in range(4):
             pm = path_matrix(inst.paths, t, i)
             assert len(pm.rows) == 3
-            assert pm.distinct_row_count() == 3
+            assert len(set(pm.rows)) == 3
 
     def test_index_out_of_range(self):
         ps = PathSet.from_sequences([[0]])
@@ -267,7 +263,7 @@ class TestDistinctEncodingCaps:
             t = testing_matrix(ps, g.node_count)
             for i in range(ps.m):
                 pm = path_matrix(ps, t, i)
-                distinct = pm.distinct_row_count()
+                distinct = len(set(pm.rows))
                 assert distinct <= min(len(ps.paths[i]), 2 * (ps.m - 1))
 
     def test_q_run_cap(self):
@@ -280,7 +276,7 @@ class TestDistinctEncodingCaps:
         for i in range(0, m, 7):
             pm = path_matrix(ps, t, i)
             q = max(column_run_counts(pm))
-            assert pm.distinct_row_count() <= min(
+            assert len(set(pm.rows)) <= min(
                 len(ps.paths[i]), 2 * q * (m - 1), 1 << (m - 1)
             )
 
@@ -292,5 +288,5 @@ def test_oracle_equivalence_property(data):
     rng = random.Random(seed)
     g, ps = random_instance(rng, max_n=7, max_m=3)
     t = testing_matrix(ps, g.node_count)
-    assert {v for v in range(t.n) if is_k_identifiable(t, v, 1)} == one_identifiable_set(t)[1]
-    assert {v for v in range(t.n) if is_k_identifiable(t, v, 2)} == brute_force_k_identifiable_set(t, 2)
+    assert k_identifiable_set(t, 1) == one_identifiable_set(t)
+    assert k_identifiable_set(t, 2)[1] == brute_force_k_identifiable_set(t, 2)

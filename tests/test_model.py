@@ -50,7 +50,7 @@ class TestBuildGraph:
 
     def test_adjacency_sorted(self):
         g = build_graph([(2, 0), (0, 1)])
-        assert g.adjacency()[0] == [1, 2]
+        assert [v for v, _ in g.neighbours[0]] == [1, 2]
 
     def test_equal_graphs_hash_equal(self):
         assert build_graph([(0, 1)]) == build_graph([(1, 0)])
@@ -83,9 +83,8 @@ class TestLogicalNodes:
         base = build_graph([(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
         g, link_of = links_to_logical_nodes(base)
         assert g.node_count == base.node_count + len(base.edges)
-        adj = g.adjacency()
         for w in link_of.values():
-            assert len(adj[w]) == 2
+            assert len(g.neighbours[w]) == 2
 
     def test_path_expansion_fits_transformed_graph(self):
         base = build_graph([(0, 1), (1, 2)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    adjacency,
     random_connected_graph,
     reference_check_consistency,
     reference_q_lower_bound,
@@ -170,7 +171,7 @@ def path_is_shortest(g, path):
     from collections import deque
 
     src, dst = path.nodes[0], path.nodes[-1]
-    adj = g.adjacency()
+    adj = adjacency(g)
     dist = {src: 0}
     queue = deque([src])
     while queue:
@@ -294,10 +295,9 @@ def test_spt_rejects_source_out_of_range(src):
 def test_spt_table_does_not_leak_through_adjacency():
     g = build_graph([(0, 1), (1, 2), (0, 3), (3, 2)])
     before = shortest_path_tree(g, 0)
-    adj = g.adjacency()
-    adj[0].clear()
-    adj[1].append(3)
-    assert g.adjacency() == {0: [1, 3], 1: [0, 2], 2: [1, 3], 3: [0, 2]}
+    # the table every tree reads is immutable, so no reader can change it
+    assert all(type(row) is tuple for row in g.neighbours)
+    assert [[v for v, _ in row] for row in g.neighbours] == [[1, 3], [0, 2], [1, 3], [0, 2]]
     assert list(shortest_path_tree(g, 0).items()) == list(before.items())
 
 
