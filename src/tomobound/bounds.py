@@ -15,6 +15,7 @@ floor boundaries are the whole content, so no floats anywhere.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -56,6 +57,13 @@ class BoundResult:
     notes: tuple[str, ...] = ()
 
     def as_json_dict(self) -> dict:
+        """The JSON form; a ValueError names any field too long to print."""
+        for name in ("d", "n_max", "n_max_exact"):
+            value = getattr(self, name)
+            if value is not None and _too_long_to_print(value):
+                raise ValueError(
+                    f"{name} has more than {_digit_limit()} decimal digits, too many to print"
+                )
         out: dict = {
             "scenario": self.scenario,
             "m": self.m,
@@ -77,6 +85,18 @@ class BoundResult:
         if self.notes:
             out["notes"] = list(self.notes)
         return out
+
+
+def _digit_limit() -> int:
+    """Python's cap on the decimal digits of an int turned into text; 0 when
+    there is none (before Python 3.10.7, or switched off)."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit is not None else 0
+
+
+def _too_long_to_print(x: Rational) -> bool:
+    limit = _digit_limit()
+    return limit > 0 and max(abs(x.numerator), x.denominator) >= 10**limit
 
 
 def _check_m(m: int) -> None:
@@ -101,9 +121,8 @@ def _as_fraction(d: Rational, name: str) -> Fraction:
 def _integral_total(m: int, d: Fraction) -> int:
     total = m * d
     if total.denominator != 1:
-        raise ValueError(
-            f"m*d = {total} is not an integer; the encoding budget N_max must be integral"
-        )
+        shown = "m*d" if _too_long_to_print(total) else f"m*d = {total}"
+        raise ValueError(f"{shown} is not an integer; the encoding budget N_max must be integral")
     return int(total)
 
 

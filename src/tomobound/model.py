@@ -42,14 +42,15 @@ class Graph:
 
     @cached_property
     def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node u, the sorted pairs ``(v, 1 << rank)`` of its edges, rank
-        being the edge's position in sorted edge order. Built on first use and
-        kept on this graph object; the fields, equality and hash ignore it."""
+        """Per node u, the sorted pairs ``(v, rank)`` of its edges, rank being
+        the edge's position in sorted edge order. A tree search forms the
+        edge's bit ``1 << rank`` where it needs it, so the table stays O(|E|)
+        words. Built on first use and kept on this graph object; the fields,
+        equality and hash ignore it."""
         rows: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
         for rank, (u, v) in enumerate(sorted(self.edges)):
-            bit = 1 << rank
-            rows[u].append((v, bit))
-            rows[v].append((u, bit))
+            rows[u].append((v, rank))
+            rows[v].append((u, rank))
         return tuple(tuple(sorted(row)) for row in rows)
 
 

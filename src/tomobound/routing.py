@@ -185,8 +185,9 @@ def shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
     whose integer is smaller than P's. So the search runs breadth-first by hop
     layers, each node keeping its tree path's edge bitmask, and a node v first
     reached in layer d takes the layer d-1 neighbour u with the smallest
-    ``mask(u) | bit(u, v)``. The map lists every node reachable from ``src``
-    after its parent, with ``src`` first as its own parent.
+    ``mask(u) | 1 << rank(u, v)``, the bit formed from the rank that
+    ``Graph.neighbours`` stores. The map lists every node reachable from
+    ``src`` after its parent, with ``src`` first as its own parent.
     """
     if not 0 <= src < g.node_count:
         raise ValueError(f"node {src} out of range")
@@ -196,10 +197,10 @@ def shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
     while layer:
         nxt: dict[int, int] = {}
         for u, mask in layer.items():
-            for v, bit in neighbours[u]:
+            for v, rank in neighbours[u]:
                 if v in parent and v not in nxt:
                     continue
-                key = mask | bit
+                key = mask | 1 << rank
                 if v not in nxt or key < nxt[v]:
                     nxt[v] = key
                     parent[v] = u

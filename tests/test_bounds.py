@@ -1,4 +1,6 @@
+import json
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -322,6 +324,21 @@ class TestBoundDispatch:
         d = r.as_json_dict()
         assert d["d"] == "82/7"
         assert d["bound"] == 39
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python turns ints of any length into text",
+    )
+    def test_json_dict_names_a_field_too_long_to_print(self):
+        limit = sys.get_int_max_str_digits()
+        # the longest d Python prints has exactly `limit` digits
+        assert json.loads(json.dumps(bound("consistent-avg", 2, 5, 10**limit - 1).as_json_dict()))
+        with pytest.raises(ValueError, match=rf"^d has more than {limit} decimal digits"):
+            bound("consistent-avg", 2, 5, 10**limit).as_json_dict()
+        with pytest.raises(ValueError, match=rf"^d has more than {limit} decimal digits"):
+            bound("consistent-avg", 10**limit, 5, Fraction(1, 10**limit)).as_json_dict()
+        with pytest.raises(ValueError, match=r"^m\*d is not an integer"):
+            bound("consistent-avg", 3, 5, Fraction(1, 10**limit))
 
 
 class TestDominanceAndMonotonicity:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -83,6 +84,23 @@ class TestBoundCommand:
         assert code == 2
         assert out == ""
         assert err == "error: n must be >= 0, got n=-5\n"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python turns ints of any length into text",
+    )
+    @pytest.mark.parametrize("field", ["d", "n_max"])
+    def test_too_long_to_print_names_the_field(self, capsys, field):
+        limit = sys.get_int_max_str_digits()
+        if field == "d":
+            m, dbar = "20000", f"1e{limit + 100}"
+        else:  # m and dbar print, m*d does not
+            half = limit // 2 + 1
+            m, dbar = "1" + "0" * half, f"1e{half}"
+        code, out, err = run_cli(capsys, "bound", "--scenario", "consistent", "--m", m, "--dbar", dbar, "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field} has more than {limit} decimal digits, too many to print\n"
 
     def test_dbar_dmax_conflict(self, capsys):
         code, _, err = run_cli(

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -283,6 +284,30 @@ def test_spt_reuses_one_graphs_table_on_a_grid():
     for src in range(0, w * w, 83):
         parent = shortest_path_tree(g, src)
         assert list(parent.items()) == list(reference_shortest_path_tree(g, src).items())
+
+
+def test_neighbour_table_holds_ranks_on_a_large_grid():
+    # the table once held 1 << rank per edge end: about 28 MiB at 100x100
+    w = 100
+    g = build_graph(
+        [(u, u + 1) for u in range(w * w) if (u + 1) % w]
+        + [(u, u + w) for u in range(w * w - w)]
+    )
+    tracemalloc.start()
+    try:
+        table = g.neighbours
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    edges = sorted(g.edges)
+    ends = [0] * len(edges)
+    for u, row in enumerate(table):
+        for v, rank in row:
+            assert type(rank) is int and 0 <= rank < len(edges)
+            assert edges[rank] == (min(u, v), max(u, v))
+            ends[rank] += 1
+    assert ends == [2] * len(edges)
 
 
 @pytest.mark.parametrize("src", [-1, 4])
