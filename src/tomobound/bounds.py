@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 Rational = int | Fraction
@@ -153,27 +152,32 @@ def n_max_flexible_exact(m: int, s: int, d: Rational) -> Fraction:
     return min(Fraction(_integral_total(m, dd)), relaxed)
 
 
-def i_max(m: int, nmax: int) -> int:
-    """Largest k (capped at m) with sum_{i<=k} i*C(m,i) <= N_max; 0 if even k=1 fails."""
+def _layer_bound(m: int, n: int | None, nmax: int) -> tuple[int, int]:
+    """i_max and the layer-counting bound capped by n, in one pass over k that
+    steps the binomial as C(m,k+1) = C(m,k)(m-k)/(k+1)."""
     if nmax < 0:
         raise ValueError("N_max must be nonnegative")
     _check_m(m)
-    total = 0
-    best = 0
-    for k in range(1, m + 1):
-        total += k * comb(m, k)
-        if total > nmax:
+    k = layers = spent = 0  # sum_{i<=k} C(m,i) and sum_{i<=k} i*C(m,i)
+    c = 1  # C(m,k)
+    while k < m:
+        c = c * (m - k) // (k + 1)
+        if spent + (k + 1) * c > nmax:
             break
-        best = k
-    return best
+        k += 1
+        layers += c
+        spent += k * c
+    return k, _cap_by_n(layers + (nmax - spent) // (k + 1), n)
+
+
+def i_max(m: int, nmax: int) -> int:
+    """Largest k (capped at m) with sum_{i<=k} i*C(m,i) <= N_max; 0 if even k=1 fails."""
+    return _layer_bound(m, None, nmax)[0]
 
 
 def bound_from_nmax(m: int, n: int | None, nmax: int) -> int:
     """The layer-counting bound for a given budget, capped by n (None = no cap)."""
-    imax = i_max(m, nmax)
-    layers = sum(comb(m, i) for i in range(1, imax + 1))
-    spent = sum(i * comb(m, i) for i in range(1, imax + 1))
-    return _cap_by_n(layers + (nmax - spent) // (imax + 1), n)
+    return _layer_bound(m, n, nmax)[1]
 
 
 def z_fb(leaves: int) -> int:
@@ -293,6 +297,7 @@ def bound(
                 nmax = min(nmax, m << (m - 1))
             if scenario is Scenario.PARTIAL_CONSISTENT:
                 nmax = min(nmax, 2 * q * m * (m - 1))
+    imax, value = _layer_bound(m, n, nmax)
     return BoundResult(
         scenario=scenario.value,
         m=m,
@@ -300,8 +305,8 @@ def bound(
         d=Fraction(d),
         d_kind="max" if scenario.value.endswith("-max") else "avg",
         n_max=nmax,
-        i_max=i_max(m, nmax),
-        bound=bound_from_nmax(m, n, nmax),
+        i_max=imax,
+        bound=value,
         q=q if scenario is Scenario.PARTIAL_CONSISTENT else None,
         servers=servers,
         clients_per_server=clients,

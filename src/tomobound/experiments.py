@@ -148,13 +148,8 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
         worst_len = 0
         for _ in range(spec.trials):
             server = spec.server if spec.server is not None else rng.choice(servers)
-            parent = shortest_path_tree(g, server)
+            parent = shortest_path_tree(g, server, None if spec.d_max is None else spec.d_max - 1)
             eligible = [u for u in eligible_base if u != server and u in parent]
-            if spec.d_max is not None:
-                size: dict[int, int] = {}  # tree-path node counts; the map lists parents first
-                for v, u in parent.items():
-                    size[v] = 1 if v == u else size[u] + 1
-                eligible = [u for u in eligible if size[u] <= spec.d_max]
             if len(eligible) < m:
                 skipped += 1
                 continue

@@ -10,8 +10,9 @@ writes path 1 leftmost, matching the usual display of such vectors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 from .model import PathSet
@@ -54,12 +55,9 @@ def testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
 
 def one_identifiable_set(t: TestingMatrix) -> tuple[int, frozenset[int]]:
     """Nodes whose encoding is nonzero and unique among all columns, with their count."""
-    seen: dict[int, int] = {}
-    for c in t.columns:
-        seen[c] = seen.get(c, 0) + 1
-    ident = frozenset(
-        j for j, c in enumerate(t.columns) if c != 0 and seen[c] == 1
-    )
+    cols = list(compress(t.columns, t.columns))  # only nonzero columns can qualify
+    node_of = dict(zip(cols, compress(range(t.n), t.columns)))
+    ident = frozenset(node_of[c] for c, seen in Counter(cols).items() if seen == 1)
     return len(ident), ident
 
 

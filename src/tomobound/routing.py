@@ -173,8 +173,9 @@ def q_lower_bound(ps: PathSet) -> int:
     return max(len(_run_levels(cross, p.nodes)) for p in ps.paths)
 
 
-def shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
-    """Parent map of the canonical shortest-path tree rooted at ``src``.
+def shortest_path_tree(g: Graph, src: int, max_hops: int | None = None) -> dict[int, int]:
+    """Parent map of the canonical shortest-path tree rooted at ``src``, cut
+    after ``max_hops`` hop layers when that is given.
 
     A canonical path has the fewest hops and, among those, the smallest edge
     set, read as the integer with bit ``rank(e)`` set for each edge e in sorted
@@ -187,21 +188,29 @@ def shortest_path_tree(g: Graph, src: int) -> dict[int, int]:
     reached in layer d takes the layer d-1 neighbour u with the smallest
     ``mask(u) | 1 << rank(u, v)``, the bit formed from the rank that
     ``Graph.neighbours`` stores. The map lists every node reachable from
-    ``src`` after its parent, with ``src`` first as its own parent.
+    ``src`` (within ``max_hops`` hops) after its parent, with ``src`` first as
+    its own parent; a cut map is the full one restricted to those nodes.
     """
     if not 0 <= src < g.node_count:
         raise ValueError(f"node {src} out of range")
+    if max_hops is not None and max_hops < 0:
+        raise ValueError(f"max_hops must be >= 0, got max_hops={max_hops}")
     neighbours = g.neighbours
     parent: dict[int, int] = {src: src}
+    depth = [g.node_count] * g.node_count  # hop layer once reached; above every layer till then
+    depth[src] = hops = 0
     layer: dict[int, int] = {src: 0}  # node -> edge mask of its tree path
-    while layer:
+    while layer and hops != max_hops:
+        hops += 1
         nxt: dict[int, int] = {}
         for u, mask in layer.items():
             for v, rank in neighbours[u]:
-                if v in parent and v not in nxt:
+                d = depth[v]
+                if d < hops:
                     continue
                 key = mask | 1 << rank
-                if v not in nxt or key < nxt[v]:
+                if d > hops or key < nxt[v]:
+                    depth[v] = hops
                     nxt[v] = key
                     parent[v] = u
         layer = nxt

@@ -18,8 +18,9 @@ from tomobound.model import Graph, MonitoringPath, PathSet, _norm_edge, build_gr
 from tomobound.identifiability import TestingMatrix, column_run_counts, path_matrix, testing_matrix
 from tomobound.routing import ConsistencyReport, ConsistencyViolation, _require_simple
 
-# keep pytest from collecting the library function whose name matches test_*
+# keep pytest from collecting the library names that match test_* and Test*
 tomobound.identifiability.testing_matrix.__test__ = False
+tomobound.identifiability.TestingMatrix.__test__ = False
 
 
 def adjacency(g: Graph) -> dict[int, list[int]]:
@@ -57,6 +58,17 @@ def brute_force_k_identifiable(t: TestingMatrix, v: int, k: int) -> bool:
 
 def brute_force_k_identifiable_set(t: TestingMatrix, k: int) -> set[int]:
     return {v for v in range(t.n) if brute_force_k_identifiable(t, v, k)}
+
+
+def reference_one_identifiable_set(t: TestingMatrix) -> tuple[int, frozenset[int]]:
+    """Count every column, zero ones included, then keep the nonzero columns
+    seen exactly once: the loop ``one_identifiable_set`` ran before it skipped
+    zero columns."""
+    seen: dict[int, int] = {}
+    for c in t.columns:
+        seen[c] = seen.get(c, 0) + 1
+    ident = frozenset(j for j, c in enumerate(t.columns) if c != 0 and seen[c] == 1)
+    return len(ident), ident
 
 
 def random_instance(rng: random.Random, max_n: int = 12, max_m: int = 4):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tomobound import bounds
 from tomobound.bounds import (
     Scenario,
     bound,
@@ -31,6 +33,15 @@ def i_max_by_scan(m: int, nmax: int) -> int:
         if sum(i * comb(m, i) for i in range(1, k + 1)) <= nmax:
             best = k
     return best
+
+
+def bound_from_nmax_by_sums(m: int, n: int | None, nmax: int) -> int:
+    """Independent re-derivation: the layer formula with every binomial from comb."""
+    k = i_max_by_scan(m, nmax)
+    layers = sum(comb(m, i) for i in range(1, k + 1))
+    spent = sum(i * comb(m, i) for i in range(1, k + 1))
+    value = layers + (nmax - spent) // (k + 1)
+    return value if n is None else min(value, n)
 
 
 class TestNmax:
@@ -87,6 +98,32 @@ class TestImax:
         for m in range(1, 13):
             for nmax in range(0, m * (1 << (m - 1)) + 2, max(1, m)):
                 assert i_max(m, nmax) == i_max_by_scan(m, nmax)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_layer_pass_matches_comb_sums(m, data):
+    # a log-uniform budget reaches every layer, up to past the full m*2^(m-1)
+    nmax = data.draw(st.integers(0, 2 ** data.draw(st.integers(0, m + 6))))
+    n = data.draw(st.none() | st.integers(0, 1 << m))
+    assert i_max(m, nmax) == i_max_by_scan(m, nmax)
+    assert bound_from_nmax(m, n, nmax) == bound_from_nmax_by_sums(m, n, nmax)
+
+
+def test_huge_budget_takes_no_binomial_per_layer(monkeypatch):
+    # tomobound bound --scenario arbitrary --m 20000 --dbar 1e4000 --n 5: with a
+    # comb(m, k) call per layer, its 3,462 layers took about 12 s
+    calls = []
+
+    def counting_comb(*args):
+        calls.append(args)
+        return comb(*args)
+
+    monkeypatch.setattr(bounds, "comb", counting_comb, raising=False)
+    monkeypatch.setattr(math, "comb", counting_comb)
+    r = bound(Scenario.ARBITRARY_AVG, 20000, 5, 10**4000)
+    assert (r.i_max, r.bound) == (3462, 5)
+    assert calls == []
 
 
 class TestBoundFromNmax:

@@ -106,9 +106,9 @@ class TestRandomPlacement:
         """Sources of the SPTs that random_placement builds."""
         sources = []
 
-        def counting_spt(g, src):
+        def counting_spt(g, src, max_hops=None):
             sources.append(src)
-            return shortest_path_tree(g, src)
+            return shortest_path_tree(g, src, max_hops)
 
         monkeypatch.setattr(experiments, "shortest_path_tree", counting_spt)
         return sources

@@ -30,6 +30,9 @@ INPUTS = {
     "line.edges": "0 1\n1 2\n2 3\n",
     "bad_step.paths": "0 1 2\n0 2 3\n",
     "split.edges": "nodes 7\n0 1\n1 2\n2 3\n4 5\n",
+    # a 12x12 grid, node 12r+c at row r, column c; corners are 22 hops apart
+    "grid.edges": "".join(f"{u} {u + 1}\n" for u in range(144) if u % 12 < 11)
+    + "".join(f"{u} {u + 12}\n" for u in range(132)),
 }
 
 
@@ -113,6 +116,9 @@ CASES = {
     ),
     "experiment random_placement split dmax": (
         "experiment --name random_placement --topology {in}/split.edges --m 1,2 --trials 4 --seed 2 --dmax 2"
+    ),
+    "experiment random_placement grid dmax": (
+        "experiment --name random_placement --topology {in}/grid.edges --m 4,16 --trials 6 --seed 5 --dmax 7"
     ),
     "experiment random_placement server": (
         "experiment --name random_placement --m 2,4 --trials 5 --seed 3 --server 0"
@@ -244,6 +250,7 @@ DIGESTS: dict[str, str] = {
     "experiment random_placement": "f39788505c00024fdad5abe224ce754deef36076e9b7c2e989c9de4da9919b0a",
     "experiment random_placement dmax": "7d3397a968e70b196b99fdf7229ab7f0a3d0e09c14edc507fee7e84bfe5b9616",
     "experiment random_placement dmax skips": "0edffba2de91877332f7cb1abc58f548b4c79703d40a7d6a2a122621ec6e915d",
+    "experiment random_placement grid dmax": "8d61f633fd5008fea0e5ade226508718064724cbe4795b97dd2766a99da189e6",
     "experiment random_placement server": "e8766b30076b52fc054117ee5f4d9c1a1e7e8aed3ff26c7bcde5c8114cab3ee4",
     "experiment random_placement server dmax": "f13b63a74ff96df971db1f13eff1f9e854126a6fe729dfbfefbca6a42ebe52b6",
     "experiment random_placement split": "4f76963f5c327ba7c3f3bae34c7b8f90d9fbcd1317107d42cbd633f03862b146",

@@ -3,9 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_k_identifiable, brute_force_k_identifiable_set, random_instance
+from conftest import (
+    brute_force_k_identifiable,
+    brute_force_k_identifiable_set,
+    random_instance,
+    reference_one_identifiable_set,
+)
 from tomobound.identifiability import (
     OracleTooLargeError,
+    TestingMatrix,
     column_run_counts,
     encoding_string,
     k_identifiable_set,
@@ -290,3 +296,11 @@ def test_oracle_equivalence_property(data):
     t = testing_matrix(ps, g.node_count)
     assert k_identifiable_set(t, 1) == one_identifiable_set(t)
     assert k_identifiable_set(t, 2)[1] == brute_force_k_identifiable_set(t, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 7), st.integers(0, 2**80)), max_size=40))
+def test_one_identifiable_matches_column_count_oracle(columns):
+    # small values give many zero and duplicate columns, as placement matrices have
+    t = TestingMatrix(m=81, n=len(columns), columns=tuple(columns))
+    assert one_identifiable_set(t) == reference_one_identifiable_set(t)

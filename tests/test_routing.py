@@ -310,6 +310,25 @@ def test_neighbour_table_holds_ranks_on_a_large_grid():
     assert ends == [2] * len(edges)
 
 
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.data())
+def test_spt_cut_at_max_hops_is_the_full_tree_restricted(g, data):
+    src = data.draw(st.integers(0, g.node_count - 1))
+    full = shortest_path_tree(g, src)
+    hops = {v: len(walk_to_root(full, v)) - 1 for v in full}
+    for max_hops in range(g.node_count + 1):
+        cut = shortest_path_tree(g, src, max_hops)
+        assert list(cut.items()) == [(v, u) for v, u in full.items() if hops[v] <= max_hops]
+
+
+def test_spt_max_hops_zero_and_negative():
+    g = build_graph([(0, 1), (1, 2), (2, 3)])
+    assert shortest_path_tree(g, 1, 0) == {1: 1}
+    assert list(shortest_path_tree(g, 1, 1).items()) == [(1, 1), (0, 1), (2, 1)]
+    with pytest.raises(ValueError, match="max_hops must be >= 0, got max_hops=-1"):
+        shortest_path_tree(g, 1, -1)
+
+
 @pytest.mark.parametrize("src", [-1, 4])
 def test_spt_rejects_source_out_of_range(src):
     g = build_graph([(0, 1), (1, 2), (2, 3)])
