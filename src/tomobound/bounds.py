@@ -139,19 +139,6 @@ def _nmax_multi_fixed(m_s: tuple[int, ...], m: int, d: Fraction) -> int:
     return min(_integral_total(m, d), tree_side)
 
 
-def n_max_flexible_exact(m: int, s: int, d: Rational) -> Fraction:
-    """Pre-floor flexible-assignment budget min{m*d, m^2(2 - 3/(2S)) + 3m/2 - S},
-    for 1 <= S <= m: an idle server would still be charged in the -S term."""
-    _check_m(m)
-    if s < 1:
-        raise ValueError("S must be >= 1")
-    if s > m:
-        raise ValueError(f"S={s} servers exceed the m={m} clients; every server needs a client")
-    dd = _as_fraction(d, "d")
-    relaxed = Fraction(m * m) * (2 - Fraction(3, 2 * s)) + Fraction(3 * m, 2) - s
-    return min(Fraction(_integral_total(m, dd)), relaxed)
-
-
 def _layer_bound(m: int, n: int | None, nmax: int) -> tuple[int, int]:
     """i_max and the layer-counting bound capped by n, in one pass over k that
     steps the binomial as C(m,k+1) = C(m,k)(m-k)/(k+1)."""
@@ -276,8 +263,15 @@ def bound(
     elif scenario is Scenario.MULTI_FLEXIBLE:
         if s is None:
             raise ValueError("multi-flexible requires the server count S")
+        if s < 1:
+            raise ValueError("S must be >= 1")
+        if s > m:
+            raise ValueError(f"S={s} servers exceed the m={m} clients; every server needs a client")
         servers = s
-        exact = n_max_flexible_exact(m, s, d)
+        # pre-floor flexible-assignment budget min{m*d, m^2(2 - 3/(2S)) + 3m/2 - S},
+        # for 1 <= S <= m: an idle server would still be charged in the -S term
+        relaxed = Fraction(m * m) * (2 - Fraction(3, 2 * s)) + Fraction(3 * m, 2) - s
+        exact = min(Fraction(_integral_total(m, _as_fraction(d, "d"))), relaxed)
         nmax = exact.numerator // exact.denominator
         if exact == nmax:
             exact = None

@@ -24,7 +24,7 @@ from .construct import (
     ica,
     monitoring_tree,
 )
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
 from .identifiability import (
     DEFAULT_WORK_CAP,
     OracleTooLargeError,
@@ -34,8 +34,7 @@ from .identifiability import (
 )
 from .model import (
     ParseError,
-    expand_paths_through_links,
-    links_to_logical_nodes,
+    links_as_nodes,
     load_graph,
     load_paths,
     save_graph,
@@ -123,8 +122,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     paths = load_paths(args.paths)
     if args.links_as_nodes:
-        graph, link_of = links_to_logical_nodes(graph)
-        paths = expand_paths_through_links(paths, link_of)
+        graph, paths = links_as_nodes(graph, paths)
     violations = validate_path_set(graph, paths, require_simple=args.require_simple)
     report: dict = {
         "nodes": graph.node_count,
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_check)
 
     g = sub.add_parser("construct", help="generate a bound-achieving instance")
-    g.add_argument("kind", choices=["ica", "half-grid", "monitoring-tree", "fat-tree"])
+    g.add_argument("kind", choices=[*_GENERATORS, "fat-tree"])
     g.add_argument("--m", type=int, default=4)
     g.add_argument("--dbar", type=_fraction)
     g.add_argument("--dmax", type=int)
@@ -284,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_construct)
 
     e = sub.add_parser("experiment", help="run a seeded experiment, emitting CSV")
-    e.add_argument("--name", required=True,
-                   choices=["bound_sweep", "random_placement", "fat_tree_id", "tightness"])
+    e.add_argument("--name", required=True, choices=EXPERIMENTS)
     e.add_argument("--m", type=_int_range, help="path counts, e.g. 1..24 or 4,8,16")
     e.add_argument("--d", type=lambda s: tuple(_fraction(x) for x in s.split(",")),
                    help="path lengths, e.g. 12 or 5,15,25")

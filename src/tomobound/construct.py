@@ -421,15 +421,10 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
     else:
         width = 1 << (d_max - 2)
         leaves = []
-        for _ in range(m // width):
+        for first in range(0, m, width):  # a sub-root per width leaves, the last one per the rest
             sub = len(parent)
             parent.append(0)
-            leaves.extend(_grow_full_binary(parent, sub, width))
-        rest = m % width
-        if rest:
-            sub = len(parent)
-            parent.append(0)
-            leaves.extend(_grow_full_binary(parent, sub, rest))
+            leaves.extend(_grow_full_binary(parent, sub, min(width, m - first)))
     n = len(parent)
     if n != expected:
         raise ConstructionError(f"tree has {n} nodes, single-server bound is {expected}")

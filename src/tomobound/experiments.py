@@ -19,9 +19,7 @@ from .bounds import Scenario, bound, bound_single_server
 from .construct import fat_tree, fat_tree_all_pair_paths, fat_tree_route, ica
 from .identifiability import one_identifiable_set, testing_matrix
 from .model import Graph, PathSet, load_graph
-from .routing import Segmentation, q_lower_bound, shortest_path_tree, verify_segmentation, walk_to_root
-
-EXPERIMENTS = ("bound_sweep", "random_placement", "fat_tree_id", "tightness")
+from .routing import midpoint_cuts, q_lower_bound, shortest_path_tree, verify_segmentation, walk_to_root
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         if self.name not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.name!r}; have {EXPERIMENTS}")
+            raise ValueError(f"unknown experiment {self.name!r}; have {tuple(EXPERIMENTS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for m in self.m_values:
@@ -90,14 +88,7 @@ def _load_topology(spec: ExperimentSpec) -> Graph:
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    if spec.name == "bound_sweep":
-        rows = _bound_sweep(spec)
-    elif spec.name == "random_placement":
-        rows = _random_placement(spec)
-    elif spec.name == "fat_tree_id":
-        rows = _fat_tree_id(spec)
-    else:
-        rows = _tightness(spec)
+    rows = EXPERIMENTS[spec.name](spec)
     return ResultTable(name=spec.name, seed=spec.seed, rows=tuple(rows))
 
 
@@ -208,7 +199,7 @@ def _fat_tree_id(spec: ExperimentSpec) -> list[tuple]:
             max(all_pairs.lengths()),
             "fat-tree",
             "all_pairs_half_consistent",
-            int(verify_segmentation(all_pairs, Segmentation.at_midpoints(all_pairs), 2)),
+            int(verify_segmentation(all_pairs, midpoint_cuts(all_pairs), 2)),
         )
     )
     return rows
@@ -228,3 +219,12 @@ def _tightness(spec: ExperimentSpec) -> list[tuple]:
             rows.append((m, d, "ica", "phi1", phi1))
             rows.append((m, d, "ica", "bound", inst.meta["bound"]))
     return rows
+
+
+# experiment name -> the runner that makes its rows, in the order the CLI lists them
+EXPERIMENTS = {
+    "bound_sweep": _bound_sweep,
+    "random_placement": _random_placement,
+    "fat_tree_id": _fat_tree_id,
+    "tightness": _tightness,
+}

@@ -44,7 +44,10 @@ class TestingMatrix:
 
 def testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
     """Exact path-over-node incidence; duplicate node mentions within a path collapse."""
-    cols = [0] * n
+    try:
+        cols = [0] * n
+    except (MemoryError, OverflowError):  # raised before any allocation at such sizes
+        raise ValueError(f"a testing matrix over n={n} nodes does not fit in memory") from None
     for i, p in enumerate(ps.paths):
         for u in p.nodes:
             if u >= n:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -75,28 +75,6 @@ def build_graph(edge_list: Iterable[tuple[int, int]], node_count: int | None = N
             raise ValueError(f"node_count override {node_count} smaller than largest id {max_id}")
         n = node_count
     return Graph(node_count=n, edges=frozenset(edges))
-
-
-def links_to_logical_nodes(g: Graph) -> tuple[Graph, dict[Edge, int]]:
-    """Subdivide every edge with a logical node so link failures become node failures.
-
-    Returns the transformed graph and a map from each original edge to its new
-    node id. The result has ``n + |E|`` nodes and ``2|E|`` edges.
-    """
-    link_of: dict[Edge, int] = {}
-    new_edges: list[tuple[int, int]] = []
-    for rank, (u, v) in enumerate(sorted(g.edges)):
-        w = g.node_count + rank
-        link_of[(u, v)] = w
-        new_edges.append((u, w))
-        new_edges.append((w, v))
-    return (
-        Graph(
-            node_count=g.node_count + len(g.edges),
-            edges=frozenset(_norm_edge(u, v) for u, v in new_edges),
-        ),
-        link_of,
-    )
 
 
 @dataclass(frozen=True)
@@ -193,9 +171,16 @@ def validate_path_set(g: Graph, ps: PathSet, require_simple: bool = False) -> li
     return out
 
 
-def expand_paths_through_links(ps: PathSet, link_of: Mapping[Edge, int]) -> PathSet:
-    """Rewrite paths over a link-subdivided graph by inserting each step's logical node."""
-    new_paths = []
+def links_as_nodes(g: Graph, ps: PathSet) -> tuple[Graph, PathSet]:
+    """Subdivide every edge with a logical node so link failures become node
+    failures, and route ``ps`` through those nodes.
+
+    The edge of rank r in sorted edge order becomes node ``n + r``, so the
+    graph has ``n + |E|`` nodes and ``2|E|`` edges; each path step (u, v)
+    gains the node of its edge between u and v.
+    """
+    link_of = {e: g.node_count + rank for rank, e in enumerate(sorted(g.edges))}
+    paths = []
     for i, p in enumerate(ps.paths):
         seq: list[int] = [p.nodes[0]]
         for u, v in zip(p.nodes, p.nodes[1:]):
@@ -204,8 +189,10 @@ def expand_paths_through_links(ps: PathSet, link_of: Mapping[Edge, int]) -> Path
                 raise ValueError(f"path {i}: step ({u}, {v}) is not an edge of the original graph")
             seq.append(w)
             seq.append(v)
-        new_paths.append(MonitoringPath(tuple(seq)))
-    return PathSet(tuple(new_paths))
+        paths.append(MonitoringPath(tuple(seq)))
+    # w exceeds every original id, so (u, w) and (v, w) are normalised
+    edges = frozenset((x, w) for (u, v), w in link_of.items() for x in (u, v))
+    return Graph(node_count=g.node_count + len(link_of), edges=edges), PathSet(tuple(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +222,7 @@ def _content_lines(text: str):
 def parse_edge_list(text: str, source: str = "<edge-list>") -> Graph:
     edges: list[tuple[int, int]] = []
     node_count: int | None = None
+    header_lineno = 0
     for lineno, line in _content_lines(text):
         tokens = line.split()
         if tokens[0] == "nodes":
@@ -242,6 +230,7 @@ def parse_edge_list(text: str, source: str = "<edge-list>") -> Graph:
             if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(source, lineno, f"malformed header {line!r}, expected 'nodes N'")
             node_count = int(tokens[1])
+            header_lineno = lineno
             continue
         if len(tokens) != 2:
             raise ParseError(source, lineno, f"expected 'u v', got {line!r}")
@@ -251,11 +240,14 @@ def parse_edge_list(text: str, source: str = "<edge-list>") -> Graph:
             raise ParseError(source, lineno, f"non-integer node id in {line!r}") from None
         if u == v:
             raise ParseError(source, lineno, f"self-loop rejected: ({u}, {v})")
+        if u < 0 or v < 0:
+            raise ParseError(source, lineno, f"negative node id in pair ({u}, {v})")
         edges.append((u, v))
-    try:
-        return build_graph(edges, node_count=node_count)
-    except ValueError as exc:
-        raise ParseError(source, 0, str(exc)) from None
+    if node_count is not None:
+        max_id = max(map(max, edges), default=-1)
+        if node_count <= max_id:
+            raise ParseError(source, header_lineno, f"'nodes {node_count}' leaves out node {max_id}")
+    return build_graph(edges, node_count=node_count)
 
 
 def parse_path_file(text: str, source: str = "<path-file>") -> PathSet:

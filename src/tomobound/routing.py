@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
+from .identifiability import testing_matrix
 from .model import Edge, Graph, MonitoringPath, PathSet, _norm_edge
 
 
@@ -44,21 +45,7 @@ def _require_simple(ps: PathSet) -> None:
             raise ValueError(f"path {i} repeats a node; consistency is defined on simple paths")
 
 
-def _path_bitsets(ps: PathSet) -> tuple[dict[int, int], dict[Edge, int]]:
-    """Path bitsets, bit i for path i: node -> the paths that cross it, and
-    normalised step (u, v) -> the paths that take u and v consecutively."""
-    _require_simple(ps)
-    cross: dict[int, int] = {}
-    step: dict[Edge, int] = {}
-    for i, p in enumerate(ps.paths):
-        for u in p.nodes:
-            cross[u] = cross.get(u, 0) | 1 << i
-        for e in map(_norm_edge, p.nodes, p.nodes[1:]):
-            step[e] = step.get(e, 0) | 1 << i
-    return cross, step
-
-
-def _run_levels(cross: dict[int, int], nodes: tuple[int, ...]) -> list[int]:
+def _run_levels(cross: Sequence[int], nodes: tuple[int, ...]) -> list[int]:
     """Bit-sliced run counts along ``nodes``: levels[r] holds the paths in at
     least r + 1 entry masks c(u_a) & ~c(u_{a-1}), i.e. sharing that many runs."""
     levels: list[int] = []
@@ -89,7 +76,15 @@ def check_consistency(ps: PathSet, limit: int | None = None) -> ConsistencyRepor
     back, so j passes iff it takes each such step; one shared node sets neither."""
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got limit={limit}")
-    cross, step = _path_bitsets(ps)
+    _require_simple(ps)
+    # path bitsets, bit i for path i: node -> the paths that cross it (the
+    # testing-matrix columns), and normalised step (u, v) -> the paths that
+    # take u and v consecutively
+    cross = testing_matrix(ps, ps.max_node_id() + 1).columns
+    step: dict[Edge, int] = {}
+    for i, p in enumerate(ps.paths):
+        for e in map(_norm_edge, p.nodes, p.nodes[1:]):
+            step[e] = step.get(e, 0) | 1 << i
     violations: list[ConsistencyViolation] = []
     for i, nodes in enumerate(p.nodes for p in ps.paths):
         failing = sum(_run_levels(cross, nodes)[1:2])  # level 2, if there is one
@@ -113,63 +108,42 @@ def check_consistency(ps: PathSet, limit: int | None = None) -> ConsistencyRepor
     return ConsistencyReport(consistent=not violations, violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class Segmentation:
-    """Per-path cut positions splitting each path into consecutive segments.
+def midpoint_cuts(ps: PathSet) -> tuple[tuple[int, ...], ...]:
+    """Cut every path of three or more nodes at its middle node."""
+    return tuple((len(p) // 2,) if len(p) >= 3 else () for p in ps.paths)
 
-    A cut at position c ends one segment at node c and starts the next at the
-    same node, so the cut node belongs to both adjacent segments (the fat-tree
-    upper node is used this way).
+
+def verify_segmentation(ps: PathSet, cuts: Sequence[Sequence[int]], q: int) -> bool:
+    """True iff every path splits into at most q segments whose union is consistent.
+
+    ``cuts[i]`` holds the strictly increasing cut positions of path i. A cut
+    at position c ends one segment at node c and starts the next at the same
+    node, so the cut node belongs to both adjacent segments (the fat-tree
+    upper node is used this way), and c cuts make c + 1 segments.
     """
-
-    cuts: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def at_midpoints(cls, ps: PathSet) -> "Segmentation":
-        """Cut every path of three or more nodes at its middle node."""
-        return cls(
-            cuts=tuple((len(p) // 2,) if len(p) >= 3 else () for p in ps.paths)
-        )
-
-    def validate(self, ps: PathSet) -> None:
-        if len(self.cuts) != ps.m:
-            raise ValueError(f"segmentation covers {len(self.cuts)} paths, path set has {ps.m}")
-        for i, (p, cuts) in enumerate(zip(ps.paths, self.cuts)):
-            if any(c < 0 or c >= len(p) for c in cuts):
-                raise ValueError(f"path {i}: cut position out of bounds")
-            if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])):
-                raise ValueError(f"path {i}: cut positions must be strictly increasing")
-
-    def segments_of(self, ps: PathSet, i: int) -> list[tuple[int, ...]]:
-        nodes = ps.paths[i].nodes
-        bounds = [0, *self.cuts[i], len(nodes) - 1]
-        return [
-            nodes[a : b + 1]
-            for a, b in zip(bounds, bounds[1:])
-            if b >= a
-        ]
-
-
-def verify_segmentation(ps: PathSet, seg: Segmentation, q: int) -> bool:
-    """True iff every path splits into at most q segments whose union is consistent."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    seg.validate(ps)
-    all_segments: list[tuple[int, ...]] = []
-    for i in range(ps.m):
-        segments = seg.segments_of(ps, i)
-        if len(segments) > q:
-            return False
-        all_segments.extend(segments)
-    segment_set = PathSet(tuple(MonitoringPath(s) for s in all_segments))
-    return check_consistency(segment_set, limit=1).consistent
+    if len(cuts) != ps.m:
+        raise ValueError(f"segmentation covers {len(cuts)} paths, path set has {ps.m}")
+    segments: list[MonitoringPath] = []
+    for i, (p, path_cuts) in enumerate(zip(ps.paths, cuts)):
+        if any(c < 0 or c >= len(p) for c in path_cuts):
+            raise ValueError(f"path {i}: cut position out of bounds")
+        if any(c2 <= c1 for c1, c2 in zip(path_cuts, path_cuts[1:])):
+            raise ValueError(f"path {i}: cut positions must be strictly increasing")
+        bounds = [0, *path_cuts, len(p) - 1]
+        segments.extend(MonitoringPath(p.nodes[a : b + 1]) for a, b in zip(bounds, bounds[1:]))
+    if any(len(path_cuts) >= q for path_cuts in cuts):
+        return False
+    return check_consistency(PathSet(tuple(segments)), limit=1).consistent
 
 
 def q_lower_bound(ps: PathSet) -> int:
     """Necessary q for any valid segmentation: the most maximal runs of nodes
     that one path shares with another (itself included), i.e. the deepest
     level of any path's bit-sliced run counts. Witness only; no search."""
-    cross, _ = _path_bitsets(ps)
+    _require_simple(ps)
+    cross = testing_matrix(ps, ps.max_node_id() + 1).columns
     return max(len(_run_levels(cross, p.nodes)) for p in ps.paths)
 
 

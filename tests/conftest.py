@@ -15,7 +15,7 @@ import tomobound.construct
 import tomobound.identifiability
 from tomobound.construct import ConstructionError
 from tomobound.model import Graph, MonitoringPath, PathSet, _norm_edge, build_graph
-from tomobound.identifiability import TestingMatrix, column_run_counts, path_matrix, testing_matrix
+from tomobound.identifiability import TestingMatrix
 from tomobound.routing import ConsistencyReport, ConsistencyViolation, _require_simple
 
 # keep pytest from collecting the library names that match test_* and Test*
@@ -266,11 +266,19 @@ def reference_check_consistency(ps: PathSet) -> ConsistencyReport:
 
 
 def reference_q_lower_bound(ps: PathSet) -> int:
-    """The worst run count of ones over all path-matrix columns, at least 1."""
+    """The most maximal runs of consecutive nodes that one path shares with
+    any path (itself included), counted node by node down the first path; at
+    least 1."""
     _require_simple(ps)
-    n = ps.max_node_id() + 1
-    t = testing_matrix(ps, n)
     worst = 1
-    for i in range(ps.m):
-        worst = max(worst, max(column_run_counts(path_matrix(ps, t, i))))
+    for p in ps.paths:
+        for other in ps.paths:
+            on = set(other.nodes)
+            runs = 0
+            prev = False
+            for u in p.nodes:
+                if u in on and not prev:
+                    runs += 1
+                prev = u in on
+            worst = max(worst, runs)
     return worst

@@ -31,9 +31,9 @@ from tomobound.identifiability import (
 )
 from tomobound.model import PathSet
 from tomobound.routing import (
-    Segmentation,
     check_consistency,
     consistent_shortest_paths,
+    midpoint_cuts,
     verify_segmentation,
 )
 
@@ -128,7 +128,7 @@ def test_criterion_6_fat_tree():
     ft = fat_tree(4)
     assert ft.graph.node_count == 36
     all_pairs = fat_tree_all_pair_paths(ft)
-    assert verify_segmentation(all_pairs, Segmentation.at_midpoints(all_pairs), 2) is True
+    assert verify_segmentation(all_pairs, midpoint_cuts(all_pairs), 2) is True
     k, pairs = fat_tree_cover_pairs()
     assert (k, len(pairs)) == (4, 16)
     ps = PathSet(tuple(fat_tree_route(ft, a, b) for a, b in pairs))

@@ -18,7 +18,6 @@ from tomobound.bounds import (
     bound_multi_flexible,
     bound_single_server,
     i_max,
-    n_max_flexible_exact,
     psi_tree,
     z_fb,
 )
@@ -279,7 +278,14 @@ class TestMultiServer:
         with pytest.raises(ValueError, match=re.escape("S=20 servers exceed the m=2 clients")):
             bound_multi_flexible(2, 20, 6, 2)
         with pytest.raises(ValueError, match="S=3"):
-            n_max_flexible_exact(2, 3, 2)
+            bound_multi_flexible(2, 3, None, 2)
+        with pytest.raises(ValueError, match="^S must be >= 1$"):
+            bound_multi_flexible(2, 0, None, 2)
+        # S is checked before d: the S-range errors come first
+        with pytest.raises(ValueError, match="S=3"):
+            bound_multi_flexible(2, 3, None, -1)
+        with pytest.raises(ValueError, match="^d must be positive$"):
+            bound_multi_flexible(2, 1, None, -1)
 
     def test_uneven_split_strictly_smaller(self):
         even = bound(Scenario.MULTI_FIXED, 5, None, 10**6, m_s=(3, 2)).n_max
@@ -287,11 +293,10 @@ class TestMultiServer:
         assert uneven < even
 
     def test_prefloor_rational_recorded(self):
+        # min{3*100, 9(2 - 3/4) + 9/2 - 2} = 55/4
         r = bound_multi_flexible(3, 2, None, 100)
-        exact = n_max_flexible_exact(3, 2, 100)
-        assert exact.denominator > 1
-        assert r.n_max == exact.numerator // exact.denominator
-        assert r.n_max_exact == exact
+        assert r.n_max_exact == Fraction(55, 4)
+        assert r.n_max == 13
 
 
 class TestBoundDispatch:

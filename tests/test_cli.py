@@ -218,8 +218,10 @@ class TestCheckCommand:
             ("0 1\n", "0 1\n1 --1\n", "p.paths:2", "unresolvable node token '--1'"),
             ("0 1\n", "0 \u00b2\n", "p.paths:1", "unresolvable node token '\u00b2'"),
             ("nodes \u00b2\n0 1\n", "0 1\n", "g.edges:1", "malformed header 'nodes \u00b2'"),
+            ("0 1\n1 -2\n", "0 1\n", "g.edges:2", "negative node id in pair (1, -2)"),
+            ("# c\nnodes 2\n0 1\n1 2\n", "0 1\n", "g.edges:2", "'nodes 2' leaves out node 2"),
         ],
-        ids=["path --1", "path superscript", "header superscript"],
+        ids=["path --1", "path superscript", "header superscript", "edge negative id", "header below an id"],
     )
     def test_bad_integer_token_names_file_and_line(self, tmp_path, capsys, edges, paths, where, message):
         (tmp_path / "g.edges").write_text(edges, encoding="utf-8")
@@ -228,6 +230,17 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {tmp_path / where}: {message}")
+
+    @pytest.mark.parametrize("count", [2**62, 2**63])
+    def test_header_too_large_for_memory_exits_2(self, tmp_path, capsys, count):
+        # the testing matrix's list is refused before anything is allocated:
+        # MemoryError at 2^62 entries, OverflowError at 2^63
+        (tmp_path / "g.edges").write_text(f"nodes {count}\n0 1\n")
+        (tmp_path / "p.paths").write_text("0 1\n")
+        code, out, err = run_cli(capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: a testing matrix over n={count} nodes does not fit in memory\n"
 
     def test_links_as_nodes(self, tmp_path, capsys):
         (tmp_path / "g.edges").write_text("0 1\n1 2\n")

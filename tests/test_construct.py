@@ -29,7 +29,7 @@ from tomobound.identifiability import (
     testing_matrix,
 )
 from tomobound.model import format_edge_list, format_path_file, validate_path_set
-from tomobound.routing import Segmentation, check_consistency, q_lower_bound, verify_segmentation
+from tomobound.routing import check_consistency, midpoint_cuts, q_lower_bound, verify_segmentation
 
 
 def bits(s: str) -> int:
@@ -474,7 +474,7 @@ class TestFatTree:
         ft = fat_tree(4)
         ps = fat_tree_all_pair_paths(ft)
         assert q_lower_bound(ps) <= 2
-        assert verify_segmentation(ps, Segmentation.at_midpoints(ps), 2)
+        assert verify_segmentation(ps, midpoint_cuts(ps), 2)
         t = testing_matrix(ps, ft.graph.node_count)
         for i in range(ps.m):
             assert max(column_run_counts(path_matrix(ps, t, i))) <= 2

@@ -10,10 +10,9 @@ from tomobound.model import (
     ParseError,
     PathSet,
     build_graph,
-    expand_paths_through_links,
     format_edge_list,
     format_path_file,
-    links_to_logical_nodes,
+    links_as_nodes,
     parse_edge_list,
     parse_path_file,
     validate_path_set,
@@ -63,35 +62,41 @@ class TestBuildGraph:
 
 class TestLogicalNodes:
     def test_single_edge(self):
-        g, link_of = links_to_logical_nodes(build_graph([(0, 1)]))
+        g, ps = links_as_nodes(build_graph([(0, 1)]), PathSet.from_sequences([[0, 1]]))
         assert g.node_count == 3
-        assert len(g.edges) == 2
-        assert link_of == {(0, 1): 2}
+        assert g.edges == {(0, 2), (1, 2)}
+        assert ps.paths[0].nodes == (0, 2, 1)
 
     def test_triangle(self):
-        g, _ = links_to_logical_nodes(build_graph([(0, 1), (1, 2), (0, 2)]))
+        g, _ = links_as_nodes(build_graph([(0, 1), (1, 2), (0, 2)]), PathSet.from_sequences([[0]]))
         assert g.node_count == 6
         assert len(g.edges) == 6
 
     def test_edgeless_identity(self):
-        g, link_of = links_to_logical_nodes(build_graph([], node_count=4))
+        g, ps = links_as_nodes(build_graph([], node_count=4), PathSet.from_sequences([[3]]))
         assert g.node_count == 4
         assert len(g.edges) == 0
-        assert link_of == {}
+        assert ps.paths[0].nodes == (3,)
 
     def test_link_nodes_have_degree_two(self):
         base = build_graph([(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
-        g, link_of = links_to_logical_nodes(base)
+        g, _ = links_as_nodes(base, PathSet.from_sequences([[0]]))
         assert g.node_count == base.node_count + len(base.edges)
-        for w in link_of.values():
+        for w in range(base.node_count, g.node_count):
             assert len(g.neighbours[w]) == 2
 
     def test_path_expansion_fits_transformed_graph(self):
+        # edge (0, 1) has rank 0 and becomes node 3, edge (1, 2) node 4
         base = build_graph([(0, 1), (1, 2)])
-        g, link_of = links_to_logical_nodes(base)
-        ps = expand_paths_through_links(PathSet.from_sequences([[0, 1, 2]]), link_of)
-        assert ps.paths[0].nodes == (0, link_of[(0, 1)], 1, link_of[(1, 2)], 2)
+        g, ps = links_as_nodes(base, PathSet.from_sequences([[0, 1, 2], [2, 1]]))
+        assert ps.paths[0].nodes == (0, 3, 1, 4, 2)
+        assert ps.paths[1].nodes == (2, 4, 1)
         assert validate_path_set(g, ps) == []
+
+    def test_step_off_the_graph_rejected(self):
+        base = build_graph([(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"^path 1: step \(0, 2\) is not an edge of the original graph$"):
+            links_as_nodes(base, PathSet.from_sequences([[0, 1], [0, 2]]))
 
 
 class TestValidation:
@@ -192,6 +197,17 @@ class TestFileFormats:
     def test_header_int_rejects_names_file_and_line(self):
         with pytest.raises(ParseError, match=r"^g\.txt:2: malformed header 'nodes \u00b2'"):
             parse_edge_list("0 1\nnodes \u00b2\n", source="g.txt")
+
+    def test_negative_id_names_its_line(self):
+        with pytest.raises(ParseError, match=r"^g\.txt:2: negative node id in pair \(1, -2\)$"):
+            parse_edge_list("0 1\n1 -2\n2 3\n", source="g.txt")
+
+    @pytest.mark.parametrize("text", ["# c\nnodes 5\n0 1\n1 5\n", "0 1\n1 5\n# c\nnodes 5\n"])
+    def test_header_below_largest_id_names_its_line(self, text):
+        lineno = text.splitlines().index("nodes 5") + 1
+        with pytest.raises(ParseError, match=rf"^g\.txt:{lineno}: 'nodes 5' leaves out node 5$"):
+            parse_edge_list(text, source="g.txt")
+        assert parse_edge_list(text.replace("nodes 5", "nodes 6")).node_count == 6
 
     def test_labels_written_as_comments_and_skipped_on_read(self):
         g = build_graph([(0, 1)])

@@ -16,9 +16,9 @@ from tomobound.fixtures import load_instance
 from tomobound.identifiability import column_run_counts, encoding_string, path_matrix, testing_matrix
 from tomobound.model import MonitoringPath, PathSet, build_graph
 from tomobound.routing import (
-    Segmentation,
     check_consistency,
     consistent_shortest_paths,
+    midpoint_cuts,
     q_lower_bound,
     shortest_path_tree,
     verify_segmentation,
@@ -88,30 +88,36 @@ class TestSegmentation:
 
         ft = fat_tree(4)
         ps = fat_tree_all_pair_paths(ft)
-        assert verify_segmentation(ps, Segmentation.at_midpoints(ps), 2) is True
+        assert verify_segmentation(ps, midpoint_cuts(ps), 2) is True
 
     def test_consistent_set_no_cuts_q1(self):
         _, ps = load_instance("consistent10")
-        assert verify_segmentation(ps, Segmentation(cuts=((),) * ps.m), 1) is True
+        assert verify_segmentation(ps, ((),) * ps.m, 1) is True
 
     def test_inconsistent_set_no_cuts_q1(self):
         _, ps = load_instance("inconsistent10")
-        assert verify_segmentation(ps, Segmentation(cuts=((),) * ps.m), 1) is False
+        assert verify_segmentation(ps, ((),) * ps.m, 1) is False
 
     def test_too_many_segments(self):
         ps = PathSet.from_sequences([[0, 1, 2, 3]])
-        seg = Segmentation(cuts=((1, 2),))
-        assert verify_segmentation(ps, seg, 2) is False
-        assert verify_segmentation(ps, seg, 3) is True
+        assert verify_segmentation(ps, ((1, 2),), 2) is False
+        assert verify_segmentation(ps, ((1, 2),), 3) is True
 
     def test_malformed_cuts(self):
         ps = PathSet.from_sequences([[0, 1, 2]])
         with pytest.raises(ValueError, match="increasing"):
-            verify_segmentation(ps, Segmentation(cuts=((2, 1),)), 3)
+            verify_segmentation(ps, ((2, 1),), 3)
         with pytest.raises(ValueError, match="bounds"):
-            verify_segmentation(ps, Segmentation(cuts=((5,),)), 3)
+            verify_segmentation(ps, ((5,),), 3)
         with pytest.raises(ValueError, match="covers"):
-            verify_segmentation(ps, Segmentation(cuts=()), 3)
+            verify_segmentation(ps, (), 3)
+
+    def test_cuts_validated_before_segments_counted(self):
+        # the second path's bad cut is reported although the first path
+        # already has more segments than q allows
+        ps = PathSet.from_sequences([[0, 1, 2, 3], [4, 5]])
+        with pytest.raises(ValueError, match="path 1: cut position out of bounds"):
+            verify_segmentation(ps, ((1, 2), (2,)), 1)
 
     def test_no_cuts_matches_check_consistency(self):
         rng = random.Random(23)
@@ -120,12 +126,17 @@ class TestSegmentation:
             nodes = list(range(g.node_count))
             pairs = [tuple(rng.sample(nodes, 2)) for _ in range(3)]
             ps = consistent_shortest_paths(g, pairs)
-            assert verify_segmentation(ps, Segmentation(cuts=((),) * ps.m), 1) is True
+            assert verify_segmentation(ps, ((),) * ps.m, 1) is True
 
     def test_cut_node_shared_by_adjacent_segments(self):
-        ps = PathSet.from_sequences([[0, 1, 2, 3, 4]])
-        seg = Segmentation(cuts=((2,),))
-        assert seg.segments_of(ps, 0) == [(0, 1, 2), (2, 3, 4)]
+        # cut at node 2, [0..4] splits into (0, 1, 2) and (2, 3, 4); route
+        # 2-5-3 diverges from the second segment only if node 2 is in it
+        ps = PathSet.from_sequences([[0, 1, 2, 3, 4], [2, 5, 3]])
+        assert verify_segmentation(ps, ((2,), ()), 2) is False
+        # route 1-5-3 diverges from the uncut path, but shares one node with each segment
+        ps = PathSet.from_sequences([[0, 1, 2, 3, 4], [1, 5, 3]])
+        assert verify_segmentation(ps, ((), ()), 2) is False
+        assert verify_segmentation(ps, ((2,), ()), 2) is True
 
 
 class TestQLowerBound:
@@ -155,7 +166,7 @@ class TestFullSizeFatTree:
 
         ps = fat_tree_all_pair_paths(fat_tree(8))
         assert q_lower_bound(ps) == 2
-        assert verify_segmentation(ps, Segmentation.at_midpoints(ps), 2) is True
+        assert verify_segmentation(ps, midpoint_cuts(ps), 2) is True
 
     def test_k6_full_violation_list(self):
         from tomobound.construct import fat_tree, fat_tree_all_pair_paths
@@ -428,10 +439,16 @@ def test_verify_segmentation_matches_oracle(ps, data):
         tuple(sorted(data.draw(st.sets(st.integers(0, len(p) - 1), max_size=3))))
         for p in ps.paths
     )
-    seg = Segmentation(cuts=cuts)
     q = data.draw(st.integers(1, 3))
-    segments = [s for i in range(ps.m) for s in seg.segments_of(ps, i)]
-    expected = all(len(seg.segments_of(ps, i)) <= q for i in range(ps.m)) and (
+    # split by hand: each cut node ends one segment and starts the next
+    segments = []
+    for p, path_cuts in zip(ps.paths, cuts):
+        start = 0
+        for c in path_cuts:
+            segments.append(p.nodes[start : c + 1])
+            start = c
+        segments.append(p.nodes[start:])
+    expected = all(len(c) < q for c in cuts) and (
         reference_check_consistency(PathSet(tuple(MonitoringPath(s) for s in segments))).consistent
     )
-    assert verify_segmentation(ps, seg, q) is expected
+    assert verify_segmentation(ps, cuts, q) is expected
