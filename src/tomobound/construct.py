@@ -551,29 +551,41 @@ def fat_tree_route(ft: FatTree, src: int | str, dst: int | str) -> MonitoringPat
     """
     s = ft.node_for(src)
     t = ft.node_for(dst)
-    k = ft.k
-    half = k // 2
-    sp, se, _ = _host_address(k, s)
-    tp, te, th = _host_address(k, t)
+    s_addr = _host_address(ft.k, s)
+    t_addr = _host_address(ft.k, t)
     if s == t:
         raise ValueError("source and destination hosts coincide")
+    return MonitoringPath(_route(ft.k, s, s_addr, t, t_addr))
+
+
+def _route(
+    k: int, s: int, s_addr: tuple[int, int, int], t: int, t_addr: tuple[int, int, int]
+) -> tuple[int, ...]:
+    """Node ids of :func:`fat_tree_route`'s route between distinct hosts s and
+    t, given their :func:`_host_address` results."""
+    half = k // 2
+    sp, se, _ = s_addr
+    tp, te, th = t_addr
     if sp == tp and se == te:
-        return MonitoringPath((s, _switch_id(k, sp, se), t))
+        return (s, _switch_id(k, sp, se), t)
     a_byte = half + (th - 2 + se) % half
     up = (s, _switch_id(k, sp, se), _switch_id(k, sp, a_byte))
     down = (_switch_id(k, tp, te), t)
     if sp == tp:
-        return MonitoringPath(up + down)
+        return up + down
     core_i = 1 + (th - 2 + a_byte) % half
     core_j = a_byte - half + 1
-    return MonitoringPath(up + (_core_id(k, core_j, core_i), _switch_id(k, tp, a_byte)) + down)
+    return up + (_core_id(k, core_j, core_i), _switch_id(k, tp, a_byte)) + down
 
 
 def fat_tree_all_pair_paths(ft: FatTree) -> PathSet:
     """Routes for every unordered host pair, in ascending (src, dst) id order."""
-    pairs = [
-        (a, b)
-        for idx, a in enumerate(ft.hosts)
-        for b in ft.hosts[idx + 1 :]
-    ]
-    return PathSet(tuple(fat_tree_route(ft, a, b) for a, b in pairs))
+    k = ft.k
+    hosts = [(h, _host_address(k, h)) for h in ft.hosts]
+    return PathSet(
+        tuple(
+            MonitoringPath(_route(k, s, s_addr, t, t_addr))
+            for idx, (s, s_addr) in enumerate(hosts)
+            for t, t_addr in hosts[idx + 1 :]
+        )
+    )

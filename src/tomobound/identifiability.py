@@ -26,7 +26,7 @@ class OracleTooLargeError(RuntimeError):
 
 def encoding_string(bits: int, m: int) -> str:
     """The length-m string form of an encoding, the first path leftmost."""
-    return "".join("1" if bits >> i & 1 else "0" for i in range(m))
+    return format(bits, f"0{m}b")[::-1]
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,30 @@ class TestingMatrix:
 
 
 def testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
-    """Exact path-over-node incidence; duplicate node mentions within a path collapse."""
+    """Exact path-over-node incidence; duplicate node mentions within a path collapse.
+
+    Each node a path touches gets one ``bytearray`` of ceil(m/8) bytes, path i
+    setting bit ``i & 7`` of byte ``i >> 3``; each such row becomes its
+    column's int once at the end. For total path length L over t touched
+    nodes that is O(n + L + t*m/8), where OR-ing ``1 << i`` into growing ints
+    would copy up to m bits at every incidence.
+    """
     try:
         cols = [0] * n
     except (MemoryError, OverflowError):  # raised before any allocation at such sizes
         raise ValueError(f"a testing matrix over n={n} nodes does not fit in memory") from None
+    touched = set().union(*(p.nodes for p in ps.paths))
+    if max(touched) >= n:
+        i, u = next((i, u) for i, p in enumerate(ps.paths) for u in p.nodes if u >= n)
+        raise ValueError(f"path {i} references node {u} >= n={n}")
+    width = (ps.m + 7) >> 3
+    rows = {u: bytearray(width) for u in touched}
     for i, p in enumerate(ps.paths):
+        byte, bit = i >> 3, 1 << (i & 7)
         for u in p.nodes:
-            if u >= n:
-                raise ValueError(f"path {i} references node {u} >= n={n}")
-            cols[u] |= 1 << i
+            rows[u][byte] |= bit
+    for u, row in rows.items():
+        cols[u] = int.from_bytes(row, "little")
     return TestingMatrix(m=ps.m, n=n, columns=tuple(cols))
 
 

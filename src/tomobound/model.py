@@ -45,13 +45,20 @@ class Graph:
         """Per node u, the sorted pairs ``(v, rank)`` of its edges, rank being
         the edge's position in sorted edge order. A tree search forms the
         edge's bit ``1 << rank`` where it needs it, so the table stays O(|E|)
-        words. Built on first use and kept on this graph object; the fields,
-        equality and hash ignore it."""
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
-        for rank, (u, v) in enumerate(sorted(self.edges)):
+        words; an isolated node's row is ``()``. Built on first use and kept
+        on this graph object; the fields, equality and hash ignore it."""
+        try:
+            rows: list = [()] * self.node_count
+        except (MemoryError, OverflowError):  # raised before any allocation at such sizes
+            n = self.node_count
+            raise ValueError(f"a neighbour table over n={n} nodes does not fit in memory") from None
+        ranked = sorted(self.edges)
+        for u in set().union(*ranked):
+            rows[u] = []
+        for rank, (u, v) in enumerate(ranked):
             rows[u].append((v, rank))
             rows[v].append((u, rank))
-        return tuple(tuple(sorted(row)) for row in rows)
+        return tuple(map(tuple, map(sorted, rows)))
 
 
 def build_graph(edge_list: Iterable[tuple[int, int]], node_count: int | None = None) -> Graph:
@@ -86,7 +93,7 @@ class MonitoringPath:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("a monitoring path must contain at least one node")
-        if any(u < 0 for u in self.nodes):
+        if min(self.nodes) < 0:
             raise ValueError("negative node id in path")
 
     def __len__(self) -> int:
@@ -148,7 +155,24 @@ class PathViolation:
 
 
 def validate_path_set(g: Graph, ps: PathSet, require_simple: bool = False) -> list[PathViolation]:
-    """Check every path against ``g``; violations are returned as data, never raised."""
+    """Check every path against ``g``; violations are returned as data, never raised.
+
+    The whole set is tested first: the largest id against ``g.node_count``,
+    and the distinct steps, normalised, against ``g.edges``. That costs one
+    C-level pass over the steps plus O(distinct steps), so a valid set of
+    total length L takes O(L) with no Python call per step. Only when the
+    test fails are the paths walked one by one, O(L) Python steps, to list
+    the violations in path order.
+    """
+    steps: set[Edge] = set()
+    for p in ps.paths:
+        steps.update(zip(p.nodes, p.nodes[1:]))
+    if (
+        ps.max_node_id() < g.node_count
+        and {_norm_edge(u, v) for u, v in steps} <= g.edges
+        and (not require_simple or ps.all_simple())
+    ):
+        return []
     out: list[PathViolation] = []
     for i, p in enumerate(ps.paths):
         for u in dict.fromkeys(p.nodes):
@@ -253,15 +277,18 @@ def parse_edge_list(text: str, source: str = "<edge-list>") -> Graph:
 def parse_path_file(text: str, source: str = "<path-file>") -> PathSet:
     paths: list[MonitoringPath] = []
     for lineno, line in _content_lines(text):
-        nodes: list[int] = []
-        for token in line.split():
-            try:
-                nodes.append(int(token))
-            except ValueError:
-                raise ParseError(source, lineno, f"unresolvable node token {token!r}") from None
-        if any(u < 0 for u in nodes):
+        try:
+            nodes = tuple(map(int, line.split()))
+        except ValueError:
+            for token in line.split():  # only to name the token int() refuses
+                try:
+                    int(token)
+                except ValueError:
+                    raise ParseError(source, lineno, f"unresolvable node token {token!r}") from None
+            raise
+        if min(nodes) < 0:
             raise ParseError(source, lineno, "negative node id")
-        paths.append(MonitoringPath(tuple(nodes)))
+        paths.append(MonitoringPath(nodes))
     if not paths:
         raise ParseError(source, 0, "no paths found")
     return PathSet(tuple(paths))
@@ -276,7 +303,7 @@ def format_edge_list(g: Graph, labels: Sequence[str] = ()) -> str:
 
 
 def format_path_file(ps: PathSet) -> str:
-    return "\n".join(" ".join(str(u) for u in p.nodes) for p in ps.paths) + "\n"
+    return "\n".join(" ".join(map(str, p.nodes)) for p in ps.paths) + "\n"
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -14,7 +14,7 @@ from itertools import combinations
 import tomobound.construct
 import tomobound.identifiability
 from tomobound.construct import ConstructionError
-from tomobound.model import Graph, MonitoringPath, PathSet, _norm_edge, build_graph
+from tomobound.model import Graph, MonitoringPath, PathSet, PathViolation, _norm_edge, build_graph
 from tomobound.identifiability import TestingMatrix
 from tomobound.routing import ConsistencyReport, ConsistencyViolation, _require_simple
 
@@ -58,6 +58,49 @@ def brute_force_k_identifiable(t: TestingMatrix, v: int, k: int) -> bool:
 
 def brute_force_k_identifiable_set(t: TestingMatrix, k: int) -> set[int]:
     return {v for v in range(t.n) if brute_force_k_identifiable(t, v, k)}
+
+
+def reference_encoding_string(bits: int, m: int) -> str:
+    """Bit by bit, path 0 leftmost: the loop ``encoding_string`` ran before it
+    formatted the int in one call."""
+    return "".join("1" if bits >> i & 1 else "0" for i in range(m))
+
+
+def reference_testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
+    """OR ``1 << i`` into node u's column at every incidence of path i, checking
+    each id as it is met: the loop ``testing_matrix`` ran before it built each
+    column once."""
+    cols = [0] * n
+    for i, p in enumerate(ps.paths):
+        for u in p.nodes:
+            if u >= n:
+                raise ValueError(f"path {i} references node {u} >= n={n}")
+            cols[u] |= 1 << i
+    return TestingMatrix(m=ps.m, n=n, columns=tuple(cols))
+
+
+def reference_validate_path_set(g: Graph, ps: PathSet, require_simple: bool = False) -> list[PathViolation]:
+    """Walk every path node by node and step by step, with no whole-set test
+    in front: out-of-range ids first, then non-adjacent steps between
+    in-range nodes, then (on request) each repeated node once."""
+    out: list[PathViolation] = []
+    for i, p in enumerate(ps.paths):
+        reported: set[int] = set()
+        for u in p.nodes:
+            if u >= g.node_count and u not in reported:
+                reported.add(u)
+                out.append(PathViolation(i, "node-out-of-range", (u,)))
+        for a in range(len(p.nodes) - 1):
+            u, v = p.nodes[a], p.nodes[a + 1]
+            if u < g.node_count and v < g.node_count and _norm_edge(u, v) not in g.edges:
+                out.append(PathViolation(i, "non-adjacent-step", (u, v)))
+        if require_simple:
+            counts: dict[int, int] = {}
+            for u in p.nodes:
+                counts[u] = counts.get(u, 0) + 1
+                if counts[u] == 2:
+                    out.append(PathViolation(i, "repeated-node", (u,)))
+    return out
 
 
 def reference_one_identifiable_set(t: TestingMatrix) -> tuple[int, frozenset[int]]:

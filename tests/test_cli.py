@@ -366,6 +366,18 @@ class TestExperimentCommand:
         assert out == ""
         assert err == f"error: server {server} is not a node of the 108-node topology\n"
 
+    @pytest.mark.parametrize("count", [2**62, 2**63])
+    def test_header_too_large_for_neighbour_table_exits_2(self, tmp_path, capsys, count):
+        # as for the testing matrix, the table's list is refused before anything is allocated
+        (tmp_path / "g.edges").write_text(f"nodes {count}\n0 1\n1 2\n")
+        code, out, err = run_cli(
+            capsys, "experiment", "--name", "random_placement", "--m", "2",
+            "--topology", str(tmp_path / "g.edges"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: a neighbour table over n={count} nodes does not fit in memory\n"
+
     def test_m_below_one_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "experiment", "--name", "tightness", "--m", "0", "--d", "1"

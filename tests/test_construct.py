@@ -470,6 +470,13 @@ class TestFatTree:
         assert ps.m == 120
         assert validate_path_set(ft.graph, ps, require_simple=True) == []
 
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_all_pairs_match_single_routes(self, k):
+        ft = fat_tree(k)
+        hosts = ft.hosts
+        pairs = [(a, b) for i, a in enumerate(hosts) for b in hosts[i + 1 :]]
+        assert fat_tree_all_pair_paths(ft).paths == tuple(fat_tree_route(ft, a, b) for a, b in pairs)
+
     def test_half_consistent(self):
         ft = fat_tree(4)
         ps = fat_tree_all_pair_paths(ft)

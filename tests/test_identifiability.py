@@ -7,7 +7,9 @@ from conftest import (
     brute_force_k_identifiable,
     brute_force_k_identifiable_set,
     random_instance,
+    reference_encoding_string,
     reference_one_identifiable_set,
+    reference_testing_matrix,
 )
 from tomobound.identifiability import (
     OracleTooLargeError,
@@ -63,6 +65,31 @@ class TestTestingMatrix:
             for i, p in enumerate(ps.paths):
                 assert sum(1 for c in t.columns if c >> i & 1) == len(p)
 
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65])
+    def test_matches_per_incidence_oracle(self, m):
+        # m around multiples of 8 puts path bits at both ends of a column byte
+        rng = random.Random(m)
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            seqs = [rng.choices(range(n), k=rng.randint(1, 8)) for _ in range(m)]  # not all simple
+            ps = PathSet.from_sequences(seqs)
+            for width in (n, n + 3):  # nodes no path touches get zero columns
+                assert testing_matrix(ps, width) == reference_testing_matrix(ps, width)
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65])
+    def test_out_of_range_error_matches_oracle(self, m):
+        rng = random.Random(100 + m)
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            seqs = [rng.choices(range(n + 3), k=rng.randint(1, 8)) for _ in range(m)]
+            seqs[rng.randrange(m)].append(n + rng.randrange(3))
+            ps = PathSet.from_sequences(seqs)
+            with pytest.raises(ValueError) as want:
+                reference_testing_matrix(ps, n)
+            with pytest.raises(ValueError) as got:
+                testing_matrix(ps, n)
+            assert str(got.value) == str(want.value)
+
     def test_membership_matches_bits(self):
         rng = random.Random(2)
         for _ in range(20):
@@ -88,6 +115,12 @@ class TestCrossingNumber:
         hg = half_grid(8)
         t = testing_matrix(hg.paths, hg.graph.node_count)
         assert {c.bit_count() for c in t.columns} == {1, 2}
+
+    @given(st.data())
+    def test_matches_bitwise_oracle(self, data):
+        m = data.draw(st.integers(1, 70))
+        bits = data.draw(st.integers(0, 2**m - 1))
+        assert encoding_string(bits, m) == reference_encoding_string(bits, m)
 
     def test_string_round_trip(self):
         bits = 0b01101

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import adjacency, random_connected_graph, reference_validate_path_set
 from tomobound.model import (
     Graph,
     MonitoringPath,
@@ -17,6 +18,7 @@ from tomobound.model import (
     parse_path_file,
     validate_path_set,
 )
+from tomobound.routing import shortest_path_tree
 
 
 class TestBuildGraph:
@@ -50,6 +52,11 @@ class TestBuildGraph:
     def test_adjacency_sorted(self):
         g = build_graph([(2, 0), (0, 1)])
         assert [v for v, _ in g.neighbours[0]] == [1, 2]
+
+    def test_isolated_nodes_have_empty_neighbour_rows(self):
+        g = build_graph([(3, 1)], node_count=5)
+        assert g.neighbours == ((), ((3, 0),), (), ((1, 0),), ())
+        assert shortest_path_tree(g, 0) == {0: 0}
 
     def test_equal_graphs_hash_equal(self):
         assert build_graph([(0, 1)]) == build_graph([(1, 0)])
@@ -124,6 +131,33 @@ class TestValidation:
         out = validate_path_set(g, PathSet.from_sequences([[0, 5]]))
         assert any(v.kind == "node-out-of-range" for v in out)
 
+    def test_matches_walk_oracle(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(400):
+            g = random_connected_graph(rng, max_n=10)
+            adj = adjacency(g)
+            seqs = []
+            for _ in range(rng.randint(1, 5)):
+                seq = [rng.randrange(g.node_count + 2)]  # may start out of range
+                for _ in range(rng.randint(0, 8)):
+                    r, u = rng.random(), seq[-1]
+                    if r < 0.75 and u < g.node_count:
+                        seq.append(rng.choice(adj[u]))  # a step along an edge
+                    elif r < 0.85:
+                        seq.append(u)  # a repeated step such as "3 3"
+                    elif r < 0.92:
+                        seq.append(g.node_count + rng.randrange(3))
+                    else:
+                        seq.append(rng.randrange(g.node_count))  # maybe no edge
+                seqs.append(seq)
+            ps = PathSet.from_sequences(seqs)
+            for require_simple in (False, True):
+                got = validate_path_set(g, ps, require_simple)
+                assert got == reference_validate_path_set(g, ps, require_simple)
+                outcomes.add(bool(got))
+        assert outcomes == {False, True}
+
 
 class TestStats:
     def test_ica_example_lengths(self):
@@ -166,6 +200,11 @@ class TestFileFormats:
         ps = PathSet.from_sequences([[0, 1, 2], [2, 1], [5]])
         ps2 = parse_path_file(format_path_file(ps))
         assert ps2 == ps
+
+    @given(st.lists(st.lists(st.integers(0, 2**70), min_size=1, max_size=12), min_size=1, max_size=10))
+    def test_path_file_round_trip_property(self, seqs):
+        ps = PathSet.from_sequences(seqs)
+        assert parse_path_file(format_path_file(ps)) == ps
 
     def test_comments_and_crlf(self):
         text = "# a comment\r\nnodes 4\r\n0 1 # trailing\r\n\r\n2 3\r\n"
