@@ -9,10 +9,10 @@ This namespace carries the README tour and the types and errors it exposes;
 everything else is imported from its submodule.
 """
 
-from .bounds import BoundResult, Scenario, bound, bound_multi_flexible, bound_single_server
+from .bounds import BoundResult, Scenario, bound, bound_single_server
 from .construct import ConstructedInstance, ConstructionError, ica
 from .identifiability import TestingMatrix, one_identifiable_set, testing_matrix
-from .model import Graph, MonitoringPath, PathSet, build_graph
+from .model import Graph, PathSet, build_graph
 from .routing import (
     ConsistencyReport,
     ConsistencyViolation,
@@ -29,12 +29,10 @@ __all__ = [
     "ConstructedInstance",
     "ConstructionError",
     "Graph",
-    "MonitoringPath",
     "PathSet",
     "Scenario",
     "TestingMatrix",
     "bound",
-    "bound_multi_flexible",
     "bound_single_server",
     "build_graph",
     "check_consistency",

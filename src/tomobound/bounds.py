@@ -139,9 +139,13 @@ def _nmax_multi_fixed(m_s: tuple[int, ...], m: int, d: Fraction) -> int:
     return min(_integral_total(m, d), tree_side)
 
 
-def _layer_bound(m: int, n: int | None, nmax: int) -> tuple[int, int]:
-    """i_max and the layer-counting bound capped by n, in one pass over k that
-    steps the binomial as C(m,k+1) = C(m,k)(m-k)/(k+1)."""
+def layer_bound(m: int, n: int | None, nmax: int) -> tuple[int, int]:
+    """``(i_max, bound)`` for an encoding budget N_max over m paths.
+
+    i_max is the largest k (capped at m) with sum_{i<=k} i*C(m,i) <= N_max,
+    0 if even k=1 fails; the bound is the layer-counting count of the module
+    docstring, capped by n (None = no cap). One pass over k steps the
+    binomial as C(m,k+1) = C(m,k)(m-k)/(k+1)."""
     if nmax < 0:
         raise ValueError("N_max must be nonnegative")
     _check_m(m)
@@ -155,16 +159,6 @@ def _layer_bound(m: int, n: int | None, nmax: int) -> tuple[int, int]:
         layers += c
         spent += k * c
     return k, _cap_by_n(layers + (nmax - spent) // (k + 1), n)
-
-
-def i_max(m: int, nmax: int) -> int:
-    """Largest k (capped at m) with sum_{i<=k} i*C(m,i) <= N_max; 0 if even k=1 fails."""
-    return _layer_bound(m, None, nmax)[0]
-
-
-def bound_from_nmax(m: int, n: int | None, nmax: int) -> int:
-    """The layer-counting bound for a given budget, capped by n (None = no cap)."""
-    return _layer_bound(m, n, nmax)[1]
 
 
 def z_fb(leaves: int) -> int:
@@ -206,10 +200,6 @@ def bound_single_server(m: int, n: int | None, d_max: int) -> BoundResult:
         i_max=None,
         bound=_cap_by_n(value, n),
     )
-
-
-def bound_multi_flexible(m: int, s: int, n: int | None, d: Rational) -> BoundResult:
-    return bound(Scenario.MULTI_FLEXIBLE, m, n, d, s=s)
 
 
 def bound(
@@ -291,7 +281,7 @@ def bound(
                 nmax = min(nmax, m << (m - 1))
             if scenario is Scenario.PARTIAL_CONSISTENT:
                 nmax = min(nmax, 2 * q * m * (m - 1))
-    imax, value = _layer_bound(m, n, nmax)
+    imax, value = layer_bound(m, n, nmax)
     return BoundResult(
         scenario=scenario.value,
         m=m,

@@ -135,7 +135,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         phi1, ident = one_identifiable_set(t)
         report["phi1"] = phi1
         report["identifiable"] = sorted(ident)
-        report["per_path_distinct_encodings"] = [len({t.columns[u] for u in p.nodes}) for p in paths]
+        report["per_path_distinct_encodings"] = [len({t.columns[u] for u in p}) for p in paths]
         if paths.all_simple():
             consistency = check_consistency(paths, limit=20)
             report["consistent"] = consistency.consistent

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bounds import Rational, Scenario, bound, bound_single_server
 from .identifiability import encoding_string, testing_matrix
-from .model import Graph, MonitoringPath, PathSet, build_graph
+from .model import Graph, PathSet, build_graph
 from .routing import walk_to_root
 
 _ENUMERATION_GUARD = 2_000_000  # candidates tried over a whole top-layer search
@@ -262,7 +262,7 @@ def _instance(
     nodes, and each node's encoding is its testing-matrix column."""
     path_set = PathSet.from_sequences(seqs)
     n = path_set.max_node_id() + 1
-    steps = [step for p in path_set.paths for step in zip(p.nodes, p.nodes[1:])]
+    steps = [step for p in path_set.paths for step in zip(p, p[1:])]
     graph = build_graph(steps, node_count=n)
     encodings = testing_matrix(path_set, n).columns
     return ConstructedInstance(
@@ -540,7 +540,7 @@ def fat_tree(k: int) -> FatTree:
     )
 
 
-def fat_tree_route(ft: FatTree, src: int | str, dst: int | str) -> MonitoringPath:
+def fat_tree_route(ft: FatTree, src: int | str, dst: int | str) -> tuple[int, ...]:
     """Shortest host-to-host route under two-level suffix forwarding.
 
     On the way up, each switch picks its uplink from the destination host's
@@ -555,7 +555,7 @@ def fat_tree_route(ft: FatTree, src: int | str, dst: int | str) -> MonitoringPat
     t_addr = _host_address(ft.k, t)
     if s == t:
         raise ValueError("source and destination hosts coincide")
-    return MonitoringPath(_route(ft.k, s, s_addr, t, t_addr))
+    return _route(ft.k, s, s_addr, t, t_addr)
 
 
 def _route(
@@ -584,7 +584,7 @@ def fat_tree_all_pair_paths(ft: FatTree) -> PathSet:
     hosts = [(h, _host_address(k, h)) for h in ft.hosts]
     return PathSet(
         tuple(
-            MonitoringPath(_route(k, s, s_addr, t, t_addr))
+            _route(k, s, s_addr, t, t_addr)
             for idx, (s, s_addr) in enumerate(hosts)
             for t, t_addr in hosts[idx + 1 :]
         )

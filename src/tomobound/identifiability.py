@@ -55,15 +55,15 @@ def testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
         cols = [0] * n
     except (MemoryError, OverflowError):  # raised before any allocation at such sizes
         raise ValueError(f"a testing matrix over n={n} nodes does not fit in memory") from None
-    touched = set().union(*(p.nodes for p in ps.paths))
+    touched = set().union(*ps.paths)
     if max(touched) >= n:
-        i, u = next((i, u) for i, p in enumerate(ps.paths) for u in p.nodes if u >= n)
+        i, u = next((i, u) for i, p in enumerate(ps.paths) for u in p if u >= n)
         raise ValueError(f"path {i} references node {u} >= n={n}")
     width = (ps.m + 7) >> 3
     rows = {u: bytearray(width) for u in touched}
     for i, p in enumerate(ps.paths):
         byte, bit = i >> 3, 1 << (i & 7)
-        for u in p.nodes:
+        for u in p:
             rows[u][byte] |= bit
     for u, row in rows.items():
         cols[u] = int.from_bytes(row, "little")
@@ -140,7 +140,7 @@ def path_matrix(ps: PathSet, t: TestingMatrix, i: int) -> PathMatrix:
     """Path matrix of path ``i``; its own column is all ones by construction."""
     if not 0 <= i < ps.m:
         raise ValueError(f"path index {i} out of range for m={ps.m}")
-    rows = tuple(t.columns[u] for u in ps.paths[i].nodes)
+    rows = tuple(t.columns[u] for u in ps.paths[i])
     return PathMatrix(path_index=i, m=t.m, rows=rows)
 
 

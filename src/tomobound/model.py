@@ -1,8 +1,10 @@
-"""Core domain types: undirected graphs, monitoring paths, and their file formats.
+"""Core domain types: undirected graphs, path sets, and their file formats.
 
 Node ids are dense integers ``0..n-1``, so testing-matrix columns stay stable
-across runs. A graph is topology only; the generators that name their nodes
-keep the names, and the edge-list writer takes them as comments.
+across runs. A monitoring path is a tuple of node ids in traversal order, and
+a :class:`PathSet` holds the paths in their order. A graph is topology only;
+the generators that name their nodes keep the names, and the edge-list writer
+takes them as comments.
 """
 
 from __future__ import annotations
@@ -85,41 +87,26 @@ def build_graph(edge_list: Iterable[tuple[int, int]], node_count: int | None = N
 
 
 @dataclass(frozen=True)
-class MonitoringPath:
-    """Ordered node sequence of one monitoring path (length counted in nodes)."""
-
-    nodes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.nodes:
-            raise ValueError("a monitoring path must contain at least one node")
-        if min(self.nodes) < 0:
-            raise ValueError("negative node id in path")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    @property
-    def is_simple(self) -> bool:
-        return len(set(self.nodes)) == len(self.nodes)
-
-
-@dataclass(frozen=True)
 class PathSet:
-    """A nonempty collection of monitoring paths; path order is part of the contract."""
+    """A nonempty collection of monitoring paths; path order is part of the contract.
 
-    paths: tuple[MonitoringPath, ...]
+    A path is a nonempty tuple of node ids in traversal order, its length
+    counted in nodes.
+    """
+
+    paths: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if not self.paths:
             raise ValueError("a path set must contain at least one path (m >= 1)")
+        if not all(self.paths):
+            raise ValueError("a monitoring path must contain at least one node")
+        if min(map(min, self.paths)) < 0:
+            raise ValueError("negative node id in path")
 
     @classmethod
     def from_sequences(cls, seqs: Iterable[Sequence[int]]) -> "PathSet":
-        return cls(tuple(MonitoringPath(tuple(s)) for s in seqs))
+        return cls(tuple(map(tuple, seqs)))
 
     @property
     def m(self) -> int:
@@ -128,17 +115,17 @@ class PathSet:
     def __iter__(self):
         return iter(self.paths)
 
-    def __getitem__(self, i: int) -> MonitoringPath:
+    def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.paths[i]
 
     def lengths(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.paths)
+        return tuple(map(len, self.paths))
 
     def max_node_id(self) -> int:
-        return max(max(p.nodes) for p in self.paths)
+        return max(map(max, self.paths))
 
     def all_simple(self) -> bool:
-        return all(p.is_simple for p in self.paths)
+        return all(len(set(p)) == len(p) for p in self.paths)
 
 
 @dataclass(frozen=True)
@@ -166,7 +153,7 @@ def validate_path_set(g: Graph, ps: PathSet, require_simple: bool = False) -> li
     """
     steps: set[Edge] = set()
     for p in ps.paths:
-        steps.update(zip(p.nodes, p.nodes[1:]))
+        steps.update(zip(p, p[1:]))
     if (
         ps.max_node_id() < g.node_count
         and {_norm_edge(u, v) for u, v in steps} <= g.edges
@@ -175,18 +162,18 @@ def validate_path_set(g: Graph, ps: PathSet, require_simple: bool = False) -> li
         return []
     out: list[PathViolation] = []
     for i, p in enumerate(ps.paths):
-        for u in dict.fromkeys(p.nodes):
+        for u in dict.fromkeys(p):
             if u >= g.node_count:
                 out.append(PathViolation(i, "node-out-of-range", (u,)))
-        for u, v in zip(p.nodes, p.nodes[1:]):
+        for u, v in zip(p, p[1:]):
             if u >= g.node_count or v >= g.node_count:
                 continue
             if not g.has_edge(u, v):
                 out.append(PathViolation(i, "non-adjacent-step", (u, v)))
-        if require_simple and not p.is_simple:
+        if require_simple and len(set(p)) != len(p):
             seen: set[int] = set()
             dups: list[int] = []
-            for u in p.nodes:
+            for u in p:
                 if u in seen and u not in dups:
                     dups.append(u)
                 seen.add(u)
@@ -206,14 +193,14 @@ def links_as_nodes(g: Graph, ps: PathSet) -> tuple[Graph, PathSet]:
     link_of = {e: g.node_count + rank for rank, e in enumerate(sorted(g.edges))}
     paths = []
     for i, p in enumerate(ps.paths):
-        seq: list[int] = [p.nodes[0]]
-        for u, v in zip(p.nodes, p.nodes[1:]):
+        seq: list[int] = [p[0]]
+        for u, v in zip(p, p[1:]):
             w = link_of.get(_norm_edge(u, v))
             if w is None:
                 raise ValueError(f"path {i}: step ({u}, {v}) is not an edge of the original graph")
             seq.append(w)
             seq.append(v)
-        paths.append(MonitoringPath(tuple(seq)))
+        paths.append(tuple(seq))
     # w exceeds every original id, so (u, w) and (v, w) are normalised
     edges = frozenset((x, w) for (u, v), w in link_of.items() for x in (u, v))
     return Graph(node_count=g.node_count + len(link_of), edges=edges), PathSet(tuple(paths))
@@ -253,6 +240,8 @@ def parse_edge_list(text: str, source: str = "<edge-list>") -> Graph:
             # isdecimal, unlike isdigit, refuses what int() refuses, such as '²'
             if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(source, lineno, f"malformed header {line!r}, expected 'nodes N'")
+            if node_count is not None:
+                raise ParseError(source, lineno, f"second header {line!r}, the first is on line {header_lineno}")
             node_count = int(tokens[1])
             header_lineno = lineno
             continue
@@ -275,7 +264,7 @@ def parse_edge_list(text: str, source: str = "<edge-list>") -> Graph:
 
 
 def parse_path_file(text: str, source: str = "<path-file>") -> PathSet:
-    paths: list[MonitoringPath] = []
+    paths: list[tuple[int, ...]] = []
     for lineno, line in _content_lines(text):
         try:
             nodes = tuple(map(int, line.split()))
@@ -288,7 +277,7 @@ def parse_path_file(text: str, source: str = "<path-file>") -> PathSet:
             raise
         if min(nodes) < 0:
             raise ParseError(source, lineno, "negative node id")
-        paths.append(MonitoringPath(nodes))
+        paths.append(nodes)
     if not paths:
         raise ParseError(source, 0, "no paths found")
     return PathSet(tuple(paths))
@@ -303,7 +292,7 @@ def format_edge_list(g: Graph, labels: Sequence[str] = ()) -> str:
 
 
 def format_path_file(ps: PathSet) -> str:
-    return "\n".join(" ".join(map(str, p.nodes)) for p in ps.paths) + "\n"
+    return "\n".join(" ".join(map(str, p)) for p in ps.paths) + "\n"
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .identifiability import testing_matrix
-from .model import Edge, Graph, MonitoringPath, PathSet, _norm_edge
+from .model import Edge, Graph, PathSet, _norm_edge
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class ConsistencyReport:
 
 def _require_simple(ps: PathSet) -> None:
     for i, p in enumerate(ps.paths):
-        if not p.is_simple:
+        if len(set(p)) != len(p):
             raise ValueError(f"path {i} repeats a node; consistency is defined on simple paths")
 
 
@@ -83,10 +83,10 @@ def check_consistency(ps: PathSet, limit: int | None = None) -> ConsistencyRepor
     cross = testing_matrix(ps, ps.max_node_id() + 1).columns
     step: dict[Edge, int] = {}
     for i, p in enumerate(ps.paths):
-        for e in map(_norm_edge, p.nodes, p.nodes[1:]):
+        for e in map(_norm_edge, p, p[1:]):
             step[e] = step.get(e, 0) | 1 << i
     violations: list[ConsistencyViolation] = []
-    for i, nodes in enumerate(p.nodes for p in ps.paths):
+    for i, nodes in enumerate(ps.paths):
         failing = sum(_run_levels(cross, nodes)[1:2])  # level 2, if there is one
         for u, v in zip(nodes, nodes[1:]):
             failing |= cross[u] & cross[v] & ~step[_norm_edge(u, v)]
@@ -94,13 +94,13 @@ def check_consistency(ps: PathSet, limit: int | None = None) -> ConsistencyRepor
         while failing:
             j = i + (failing & -failing).bit_length()
             failing &= failing - 1
-            at = {u: b for b, u in enumerate(ps.paths[j].nodes)}
+            at = {u: b for b, u in enumerate(ps.paths[j])}
             run = [a for a, u in enumerate(nodes) if u in at]
             at_j = [at[nodes[a]] for a in run]
             for a, b in combinations(range(len(run)), 2):
                 sub_i = nodes[run[a] : run[b] + 1]
                 lo, hi = sorted((at_j[a], at_j[b]))
-                sub_j = ps.paths[j].nodes[lo : hi + 1][:: 1 if lo == at_j[a] else -1]
+                sub_j = ps.paths[j][lo : hi + 1][:: 1 if lo == at_j[a] else -1]
                 if sub_i != sub_j:
                     violations.append(ConsistencyViolation(i, j, sub_i[0], sub_i[-1], sub_i, sub_j))
                     if len(violations) == limit:
@@ -125,14 +125,14 @@ def verify_segmentation(ps: PathSet, cuts: Sequence[Sequence[int]], q: int) -> b
         raise ValueError("q must be >= 1")
     if len(cuts) != ps.m:
         raise ValueError(f"segmentation covers {len(cuts)} paths, path set has {ps.m}")
-    segments: list[MonitoringPath] = []
+    segments: list[tuple[int, ...]] = []
     for i, (p, path_cuts) in enumerate(zip(ps.paths, cuts)):
         if any(c < 0 or c >= len(p) for c in path_cuts):
             raise ValueError(f"path {i}: cut position out of bounds")
         if any(c2 <= c1 for c1, c2 in zip(path_cuts, path_cuts[1:])):
             raise ValueError(f"path {i}: cut positions must be strictly increasing")
         bounds = [0, *path_cuts, len(p) - 1]
-        segments.extend(MonitoringPath(p.nodes[a : b + 1]) for a, b in zip(bounds, bounds[1:]))
+        segments.extend(p[a : b + 1] for a, b in zip(bounds, bounds[1:]))
     if any(len(path_cuts) >= q for path_cuts in cuts):
         return False
     return check_consistency(PathSet(tuple(segments)), limit=1).consistent
@@ -144,7 +144,7 @@ def q_lower_bound(ps: PathSet) -> int:
     level of any path's bit-sliced run counts. Witness only; no search."""
     _require_simple(ps)
     cross = testing_matrix(ps, ps.max_node_id() + 1).columns
-    return max(len(_run_levels(cross, p.nodes)) for p in ps.paths)
+    return max(len(_run_levels(cross, p)) for p in ps.paths)
 
 
 def shortest_path_tree(g: Graph, src: int, max_hops: int | None = None) -> dict[int, int]:
@@ -210,7 +210,7 @@ def consistent_shortest_paths(g: Graph, pairs: Sequence[tuple[int, int]]) -> Pat
     if not pairs:
         raise ValueError("no pairs given")
     trees: dict[int, dict[int, int]] = {}
-    paths: list[MonitoringPath] = []
+    paths: list[tuple[int, ...]] = []
     for src, dst in pairs:
         for node in (src, dst):
             if not 0 <= node < g.node_count:
@@ -220,5 +220,5 @@ def consistent_shortest_paths(g: Graph, pairs: Sequence[tuple[int, int]]) -> Pat
         parent = trees[src]
         if dst not in parent:
             raise ValueError(f"nodes {src} and {dst} are disconnected")
-        paths.append(MonitoringPath(tuple(reversed(walk_to_root(parent, dst)))))
+        paths.append(tuple(reversed(walk_to_root(parent, dst))))
     return PathSet(tuple(paths))

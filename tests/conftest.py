@@ -14,7 +14,7 @@ from itertools import combinations
 import tomobound.construct
 import tomobound.identifiability
 from tomobound.construct import ConstructionError
-from tomobound.model import Graph, MonitoringPath, PathSet, PathViolation, _norm_edge, build_graph
+from tomobound.model import Graph, PathSet, PathViolation, _norm_edge, build_graph
 from tomobound.identifiability import TestingMatrix
 from tomobound.routing import ConsistencyReport, ConsistencyViolation, _require_simple
 
@@ -72,7 +72,7 @@ def reference_testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
     column once."""
     cols = [0] * n
     for i, p in enumerate(ps.paths):
-        for u in p.nodes:
+        for u in p:
             if u >= n:
                 raise ValueError(f"path {i} references node {u} >= n={n}")
             cols[u] |= 1 << i
@@ -86,17 +86,17 @@ def reference_validate_path_set(g: Graph, ps: PathSet, require_simple: bool = Fa
     out: list[PathViolation] = []
     for i, p in enumerate(ps.paths):
         reported: set[int] = set()
-        for u in p.nodes:
+        for u in p:
             if u >= g.node_count and u not in reported:
                 reported.add(u)
                 out.append(PathViolation(i, "node-out-of-range", (u,)))
-        for a in range(len(p.nodes) - 1):
-            u, v = p.nodes[a], p.nodes[a + 1]
+        for a in range(len(p) - 1):
+            u, v = p[a], p[a + 1]
             if u < g.node_count and v < g.node_count and _norm_edge(u, v) not in g.edges:
                 out.append(PathViolation(i, "non-adjacent-step", (u, v)))
         if require_simple:
             counts: dict[int, int] = {}
-            for u in p.nodes:
+            for u in p:
                 counts[u] = counts.get(u, 0) + 1
                 if counts[u] == 2:
                     out.append(PathViolation(i, "repeated-node", (u,)))
@@ -142,7 +142,7 @@ def random_instance(rng: random.Random, max_n: int = 12, max_m: int = 4):
             nxt = rng.choice(steps)
             seq.append(nxt)
             seen.add(nxt)
-        paths.append(MonitoringPath(tuple(seq)))
+        paths.append(tuple(seq))
     return g, PathSet(tuple(paths))
 
 
@@ -285,7 +285,7 @@ def reference_check_consistency(ps: PathSet) -> ConsistencyReport:
     first. Every counterexample is reported, not just the first.
     """
     _require_simple(ps)
-    positions = [{u: idx for idx, u in enumerate(p.nodes)} for p in ps.paths]
+    positions = [{u: idx for idx, u in enumerate(p)} for p in ps.paths]
     violations: list[ConsistencyViolation] = []
     for i in range(ps.m):
         for j in range(i + 1, ps.m):
@@ -295,12 +295,12 @@ def reference_check_consistency(ps: PathSet) -> ConsistencyReport:
             for a in range(len(shared)):
                 for b in range(a + 1, len(shared)):
                     u, v = shared[a], shared[b]
-                    sub_i = ps.paths[i].nodes[positions[i][u] : positions[i][v] + 1]
+                    sub_i = ps.paths[i][positions[i][u] : positions[i][v] + 1]
                     pj_u, pj_v = positions[j][u], positions[j][v]
                     if pj_u <= pj_v:
-                        sub_j = ps.paths[j].nodes[pj_u : pj_v + 1]
+                        sub_j = ps.paths[j][pj_u : pj_v + 1]
                     else:
-                        sub_j = tuple(reversed(ps.paths[j].nodes[pj_v : pj_u + 1]))
+                        sub_j = tuple(reversed(ps.paths[j][pj_v : pj_u + 1]))
                     if sub_i != sub_j:
                         violations.append(
                             ConsistencyViolation(i, j, u, v, sub_i, sub_j)
@@ -316,10 +316,10 @@ def reference_q_lower_bound(ps: PathSet) -> int:
     worst = 1
     for p in ps.paths:
         for other in ps.paths:
-            on = set(other.nodes)
+            on = set(other)
             runs = 0
             prev = False
-            for u in p.nodes:
+            for u in p:
                 if u in on and not prev:
                     runs += 1
                 prev = u in on

@@ -14,9 +14,8 @@ from conftest import brute_force_k_identifiable_set, random_connected_graph, ran
 from tomobound.bounds import (
     Scenario,
     bound,
-    bound_from_nmax,
-    bound_multi_flexible,
     bound_single_server,
+    layer_bound,
     z_fb,
 )
 from tomobound.construct import fat_tree, fat_tree_all_pair_paths, fat_tree_route, ica
@@ -63,7 +62,7 @@ def test_criterion_2_ica_tightness_grid():
             inst = ica(m, d)
             t = testing_matrix(inst.paths, inst.graph.node_count)
             phi1 = one_identifiable_set(t)[0]
-            expected = bound_from_nmax(m, None, m * d)
+            expected = layer_bound(m, None, m * d)[1]
             assert phi1 == expected, (m, d, phi1, expected)
             points += 1
     elapsed = time.monotonic() - t0
@@ -140,17 +139,20 @@ def test_criterion_6_fat_tree():
 
 def test_criterion_7_multi_server():
     for m in range(1, 13):
-        flexible = bound_multi_flexible(m, 1, None, 10**6)
+        flexible = bound(Scenario.MULTI_FLEXIBLE, m, None, 10**6, s=1)
         fixed = bound(Scenario.MULTI_FIXED, m, None, 10**6, m_s=(m,))
         assert (flexible.n_max, flexible.bound) == (fixed.n_max, fixed.bound), m
-    both = [bound_multi_flexible(6, 2, 108, 20), bound(Scenario.MULTI_FIXED, 6, 108, 20, m_s=(3, 3))]
+    both = [
+        bound(Scenario.MULTI_FLEXIBLE, 6, 108, 20, s=2),
+        bound(Scenario.MULTI_FIXED, 6, 108, 20, m_s=(3, 3)),
+    ]
     for r in both:
         assert r.n_max == 52 and r.bound == 26
     from itertools import combinations_with_replacement
 
     for m in range(1, 13):
         for s in range(1, min(m, 4) + 1):  # every server has a client
-            flexible = bound_multi_flexible(m, s, None, 10**6).bound
+            flexible = bound(Scenario.MULTI_FLEXIBLE, m, None, 10**6, s=s).bound
             for split in combinations_with_replacement(range(1, m + 1), s):
                 if sum(split) == m:
                     fixed = bound(Scenario.MULTI_FIXED, m, None, 10**6, m_s=split).bound

@@ -14,10 +14,8 @@ from tomobound import bounds
 from tomobound.bounds import (
     Scenario,
     bound,
-    bound_from_nmax,
-    bound_multi_flexible,
     bound_single_server,
-    i_max,
+    layer_bound,
     psi_tree,
     z_fb,
 )
@@ -76,27 +74,27 @@ class TestNmax:
 
 class TestImax:
     def test_example_a(self):
-        assert i_max(4, 12) == 1
+        assert layer_bound(4, None, 12)[0] == 1
 
     def test_example_b(self):
-        assert i_max(4, 17) == 2
+        assert layer_bound(4, None, 17)[0] == 2
 
     def test_m8_budget70(self):
         # cumulative weighted layer sizes: 8 then 64 <= 70, 232 > 70
         assert sum(i * comb(8, i) for i in range(1, 3)) == 64
         assert sum(i * comb(8, i) for i in range(1, 4)) == 232
-        assert i_max(8, 70) == 2
+        assert layer_bound(8, None, 70)[0] == 2
 
     def test_zero_when_budget_below_m(self):
-        assert i_max(5, 4) == 0
+        assert layer_bound(5, None, 4)[0] == 0
 
     def test_caps_at_m(self):
-        assert i_max(3, 10**9) == 3
+        assert layer_bound(3, None, 10**9)[0] == 3
 
     def test_matches_independent_scan(self):
         for m in range(1, 13):
             for nmax in range(0, m * (1 << (m - 1)) + 2, max(1, m)):
-                assert i_max(m, nmax) == i_max_by_scan(m, nmax)
+                assert layer_bound(m, None, nmax)[0] == i_max_by_scan(m, nmax)
 
 
 @settings(max_examples=300, deadline=None)
@@ -105,8 +103,8 @@ def test_layer_pass_matches_comb_sums(m, data):
     # a log-uniform budget reaches every layer, up to past the full m*2^(m-1)
     nmax = data.draw(st.integers(0, 2 ** data.draw(st.integers(0, m + 6))))
     n = data.draw(st.none() | st.integers(0, 1 << m))
-    assert i_max(m, nmax) == i_max_by_scan(m, nmax)
-    assert bound_from_nmax(m, n, nmax) == bound_from_nmax_by_sums(m, n, nmax)
+    assert layer_bound(m, None, nmax)[0] == i_max_by_scan(m, nmax)
+    assert layer_bound(m, n, nmax)[1] == bound_from_nmax_by_sums(m, n, nmax)
 
 
 def test_huge_budget_takes_no_binomial_per_layer(monkeypatch):
@@ -127,21 +125,21 @@ def test_huge_budget_takes_no_binomial_per_layer(monkeypatch):
 
 class TestBoundFromNmax:
     def test_example_a(self):
-        assert bound_from_nmax(4, 100, 12) == 8
+        assert layer_bound(4, 100, 12)[1] == 8
 
     def test_example_b(self):
-        assert bound_from_nmax(4, 100, 17) == 10
+        assert layer_bound(4, 100, 17)[1] == 10
 
     def test_consistent_example(self):
-        assert bound_from_nmax(8, 100, 70) == 38
+        assert layer_bound(8, 100, 70)[1] == 38
 
     def test_n_cap(self):
-        assert bound_from_nmax(3, 2, 10**9) == 2
+        assert layer_bound(3, 2, 10**9)[1] == 2
 
     def test_unbounded_reduction(self):
         # a full budget reduces the layer formula to 2^m - 1
         for m in range(1, 14):
-            assert bound_from_nmax(m, None, m * (1 << (m - 1))) == (1 << m) - 1
+            assert layer_bound(m, None, m * (1 << (m - 1)))[1] == (1 << m) - 1
 
 
 class TestZfbPsiTree:
@@ -210,13 +208,13 @@ class TestMultiServer:
             assert r.n_max == psi_tree(m)
 
     def test_flexible_s1_is_psi_tree(self):
-        r = bound_multi_flexible(4, 1, None, 10**6)
+        r = bound(Scenario.MULTI_FLEXIBLE, 4, None, 10**6, s=1)
         assert r.n_max == 13
         assert r.i_max == 1
         assert r.bound == 8
 
     def test_flexible_matches_even_split(self):
-        r = bound_multi_flexible(6, 2, None, 20)
+        r = bound(Scenario.MULTI_FLEXIBLE, 6, None, 20, s=2)
         assert r.n_max == 52
         assert r.bound == bound(Scenario.MULTI_FIXED, 6, None, 20, m_s=(3, 3)).bound == 26
 
@@ -225,7 +223,7 @@ class TestMultiServer:
         # through the whole pipeline (every server has a client, so s <= m)
         for m in range(1, 13):
             for s in range(1, min(m, 4) + 1):
-                flexible = bound_multi_flexible(m, s, None, 10**6)
+                flexible = bound(Scenario.MULTI_FLEXIBLE, m, None, 10**6, s=s)
                 for split in combinations_with_replacement(range(1, m + 1), s):
                     if sum(split) != m:
                         continue
@@ -244,7 +242,7 @@ class TestMultiServer:
                     for split in combinations_with_replacement(range(1, m + 1), s)
                     if sum(split) == m
                 )
-                flexible = bound_multi_flexible(m, s, None, 10**6).bound
+                flexible = bound(Scenario.MULTI_FLEXIBLE, m, None, 10**6, s=s).bound
                 assert flexible >= best
                 if m % s == 0:
                     assert flexible == best
@@ -274,18 +272,18 @@ class TestMultiServer:
         # server, paths [0, 2] and [1, 2], identify 3 nodes
         ps = PathSet.from_sequences([[0, 2], [1, 2]])
         assert one_identifiable_set(testing_matrix(ps, 6))[0] == 3
-        assert bound_multi_flexible(2, 1, 6, 2).bound == 3
+        assert bound(Scenario.MULTI_FLEXIBLE, 2, 6, 2, s=1).bound == 3
         with pytest.raises(ValueError, match=re.escape("S=20 servers exceed the m=2 clients")):
-            bound_multi_flexible(2, 20, 6, 2)
+            bound(Scenario.MULTI_FLEXIBLE, 2, 6, 2, s=20)
         with pytest.raises(ValueError, match="S=3"):
-            bound_multi_flexible(2, 3, None, 2)
+            bound(Scenario.MULTI_FLEXIBLE, 2, None, 2, s=3)
         with pytest.raises(ValueError, match="^S must be >= 1$"):
-            bound_multi_flexible(2, 0, None, 2)
+            bound(Scenario.MULTI_FLEXIBLE, 2, None, 2, s=0)
         # S is checked before d: the S-range errors come first
         with pytest.raises(ValueError, match="S=3"):
-            bound_multi_flexible(2, 3, None, -1)
+            bound(Scenario.MULTI_FLEXIBLE, 2, None, -1, s=3)
         with pytest.raises(ValueError, match="^d must be positive$"):
-            bound_multi_flexible(2, 1, None, -1)
+            bound(Scenario.MULTI_FLEXIBLE, 2, None, -1, s=1)
 
     def test_uneven_split_strictly_smaller(self):
         even = bound(Scenario.MULTI_FIXED, 5, None, 10**6, m_s=(3, 2)).n_max
@@ -294,7 +292,7 @@ class TestMultiServer:
 
     def test_prefloor_rational_recorded(self):
         # min{3*100, 9(2 - 3/4) + 9/2 - 2} = 55/4
-        r = bound_multi_flexible(3, 2, None, 100)
+        r = bound(Scenario.MULTI_FLEXIBLE, 3, None, 100, s=2)
         assert r.n_max_exact == Fraction(55, 4)
         assert r.n_max == 13
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import tomobound.construct
 from conftest import reference_arrange_top_layer, reference_candidate_order
-from tomobound.bounds import bound, bound_from_nmax, bound_single_server, z_fb
+from tomobound.bounds import bound, bound_single_server, layer_bound, z_fb
 from tomobound.construct import (
     ConstructionError,
     fat_tree,
@@ -137,7 +137,7 @@ class TestIca:
         for m in range(2, 9):
             for d in range(1, min(8, 1 << (m - 1)) + 1):
                 inst = ica(m, d)
-                expected = bound_from_nmax(m, None, m * d)
+                expected = layer_bound(m, None, m * d)[1]
                 assert len(inst.encodings) == expected, (m, d)
                 assert phi1(inst) == expected, (m, d)
 
@@ -235,13 +235,13 @@ class TestIca:
             inst = ica(12, 151)
         finally:
             sys.setrecursionlimit(limit)
-        assert len(inst.encodings) == bound_from_nmax(12, None, 12 * 151)
+        assert len(inst.encodings) == layer_bound(12, None, 12 * 151)[1]
 
     def test_large_top_layer_builds(self):
         # C(20, 5) = 15,504 candidates per step over 3,360 steps: the search
         # that built and sorted every step's candidates needed minutes
         inst = ica(20, 2000)
-        expected = bound_from_nmax(20, None, 20 * 2000)
+        expected = layer_bound(20, None, 20 * 2000)[1]
         assert phi1(inst) == len(inst.encodings) == expected
         assert len(set(inst.encodings)) == expected
         assert loads(inst.encodings, 20) == inst.meta["lengths"]
@@ -361,7 +361,7 @@ class TestMonitoringTree:
         for m, d_max in [(7, 4), (7, 3), (12, 4), (48, 3)]:
             inst = monitoring_tree(m, d_max)
             assert inst.paths.m == m
-            assert all(p.nodes[-1] == 0 for p in inst.paths)
+            assert all(p[-1] == 0 for p in inst.paths)
             assert max(inst.paths.lengths()) <= d_max
 
     def test_union_of_paths_is_a_tree(self):
@@ -377,7 +377,7 @@ class TestMonitoringTree:
             t = testing_matrix(inst.paths, inst.graph.node_count)
             _, ident = one_identifiable_set(t)
             for p in inst.paths:
-                assert sum(1 for u in p.nodes if u in ident) <= m
+                assert sum(1 for u in p if u in ident) <= m
 
     def test_full_binary_trees_have_zfb_nodes(self):
         for m in range(1, 30):
@@ -419,26 +419,26 @@ class TestFatTree:
     def test_reference_route_inter_pod(self):
         ft = fat_tree(4)
         p = fat_tree_route(ft, "10.1.0.3", "10.3.1.3")
-        assert [ft.address_of[u] for u in p.nodes] == [
+        assert [ft.address_of[u] for u in p] == [
             "10.1.0.3", "10.1.0.1", "10.1.3.1", "10.4.2.1", "10.3.3.1", "10.3.1.1", "10.3.1.3",
         ]
 
     def test_reference_route_spreads_cores(self):
         ft = fat_tree(4)
         p = fat_tree_route(ft, "10.1.1.3", "10.3.0.2")
-        assert [ft.address_of[u] for u in p.nodes] == [
+        assert [ft.address_of[u] for u in p] == [
             "10.1.1.3", "10.1.1.1", "10.1.3.1", "10.4.2.2", "10.3.3.1", "10.3.0.1", "10.3.0.2",
         ]
 
     def test_same_edge_switch(self):
         ft = fat_tree(4)
         p = fat_tree_route(ft, "10.0.0.2", "10.0.0.3")
-        assert [ft.address_of[u] for u in p.nodes] == ["10.0.0.2", "10.0.0.1", "10.0.0.3"]
+        assert [ft.address_of[u] for u in p] == ["10.0.0.2", "10.0.0.1", "10.0.0.3"]
 
     def test_intra_pod(self):
         ft = fat_tree(4)
         p = fat_tree_route(ft, "10.2.0.2", "10.2.1.2")
-        addrs = [ft.address_of[u] for u in p.nodes]
+        addrs = [ft.address_of[u] for u in p]
         assert len(addrs) == 5
         assert addrs[0] == "10.2.0.2" and addrs[-1] == "10.2.1.2"
 

@@ -97,7 +97,7 @@ class TestTestingMatrix:
             t = testing_matrix(ps, g.node_count)
             for j in range(t.n):
                 for i, p in enumerate(ps.paths):
-                    assert bool(t.columns[j] >> i & 1) == (j in set(p.nodes))
+                    assert bool(t.columns[j] >> i & 1) == (j in set(p))
 
 
 class TestCrossingNumber:

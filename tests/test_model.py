@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import adjacency, random_connected_graph, reference_validate_path_set
+from tomobound.construct import fat_tree, fat_tree_route
 from tomobound.model import (
     Graph,
-    MonitoringPath,
     ParseError,
     PathSet,
     build_graph,
@@ -72,7 +72,7 @@ class TestLogicalNodes:
         g, ps = links_as_nodes(build_graph([(0, 1)]), PathSet.from_sequences([[0, 1]]))
         assert g.node_count == 3
         assert g.edges == {(0, 2), (1, 2)}
-        assert ps.paths[0].nodes == (0, 2, 1)
+        assert ps.paths[0] == (0, 2, 1)
 
     def test_triangle(self):
         g, _ = links_as_nodes(build_graph([(0, 1), (1, 2), (0, 2)]), PathSet.from_sequences([[0]]))
@@ -83,7 +83,7 @@ class TestLogicalNodes:
         g, ps = links_as_nodes(build_graph([], node_count=4), PathSet.from_sequences([[3]]))
         assert g.node_count == 4
         assert len(g.edges) == 0
-        assert ps.paths[0].nodes == (3,)
+        assert ps.paths[0] == (3,)
 
     def test_link_nodes_have_degree_two(self):
         base = build_graph([(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
@@ -96,8 +96,8 @@ class TestLogicalNodes:
         # edge (0, 1) has rank 0 and becomes node 3, edge (1, 2) node 4
         base = build_graph([(0, 1), (1, 2)])
         g, ps = links_as_nodes(base, PathSet.from_sequences([[0, 1, 2], [2, 1]]))
-        assert ps.paths[0].nodes == (0, 3, 1, 4, 2)
-        assert ps.paths[1].nodes == (2, 4, 1)
+        assert ps.paths[0] == (0, 3, 1, 4, 2)
+        assert ps.paths[1] == (2, 4, 1)
         assert validate_path_set(g, ps) == []
 
     def test_step_off_the_graph_rejected(self):
@@ -248,6 +248,12 @@ class TestFileFormats:
             parse_edge_list(text, source="g.txt")
         assert parse_edge_list(text.replace("nodes 5", "nodes 6")).node_count == 6
 
+    def test_second_header_names_the_first(self):
+        # a second header must not silently replace the first
+        text = "nodes 100\n0 1\n# c\nnodes 3\n1 2\n"
+        with pytest.raises(ParseError, match=r"^g\.txt:4: second header 'nodes 3', the first is on line 1$"):
+            parse_edge_list(text, source="g.txt")
+
     def test_labels_written_as_comments_and_skipped_on_read(self):
         g = build_graph([(0, 1)])
         text = format_edge_list(g, ("a", "b"))
@@ -268,13 +274,26 @@ class TestFileFormats:
 
 
 class TestPathType:
+    def test_paths_are_plain_tuples(self):
+        ps = PathSet.from_sequences([[0, 1]])
+        assert ps.paths == ((0, 1),)
+        assert type(ps.paths[0]) is tuple
+        ft = fat_tree(4)
+        assert type(fat_tree_route(ft, ft.hosts[0], ft.hosts[1])) is tuple
+
     def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            MonitoringPath(())
+        with pytest.raises(ValueError, match="^a monitoring path must contain at least one node$"):
+            PathSet(((0, 1), ()))
+        with pytest.raises(ValueError, match=r"^a path set must contain at least one path \(m >= 1\)$"):
+            PathSet(())
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError, match="^negative node id in path$"):
+            PathSet(((0, 1), (2, -1)))
 
     def test_simple_flag(self):
-        assert MonitoringPath((0, 1, 2)).is_simple
-        assert not MonitoringPath((0, 1, 0)).is_simple
+        assert PathSet.from_sequences([[0, 1, 2], [3]]).all_simple()
+        assert not PathSet.from_sequences([[3], [0, 1, 0]]).all_simple()
 
     def test_graph_rejects_unnormalized_edge(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from conftest import (
 )
 from tomobound.fixtures import load_instance
 from tomobound.identifiability import column_run_counts, encoding_string, path_matrix, testing_matrix
-from tomobound.model import MonitoringPath, PathSet, build_graph
+from tomobound.model import PathSet, build_graph
 from tomobound.routing import (
     check_consistency,
     consistent_shortest_paths,
@@ -182,7 +182,7 @@ def path_is_shortest(g, path):
     """BFS distance check: the returned path must be a shortest route."""
     from collections import deque
 
-    src, dst = path.nodes[0], path.nodes[-1]
+    src, dst = path[0], path[-1]
     adj = adjacency(g)
     dist = {src: 0}
     queue = deque([src])
@@ -192,14 +192,14 @@ def path_is_shortest(g, path):
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    return len(path.nodes) - 1 == dist[dst]
+    return len(path) - 1 == dist[dst]
 
 
 class TestConsistentShortestPaths:
     def test_line_graph(self):
         g = build_graph([(0, 1), (1, 2)])
         ps = consistent_shortest_paths(g, [(0, 2)])
-        assert ps.paths[0].nodes == (0, 1, 2)
+        assert ps.paths[0] == (0, 1, 2)
 
     def test_four_cycle(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -220,8 +220,8 @@ class TestConsistentShortestPaths:
         for _ in range(10):
             g = random_connected_graph(rng, max_n=20)
             a, b = rng.sample(range(g.node_count), 2)
-            fwd = consistent_shortest_paths(g, [(a, b)]).paths[0].nodes
-            rev = consistent_shortest_paths(g, [(b, a)]).paths[0].nodes
+            fwd = consistent_shortest_paths(g, [(a, b)]).paths[0]
+            rev = consistent_shortest_paths(g, [(b, a)]).paths[0]
             assert fwd == tuple(reversed(rev))
 
     def test_disconnected_pair(self):
@@ -445,10 +445,10 @@ def test_verify_segmentation_matches_oracle(ps, data):
     for p, path_cuts in zip(ps.paths, cuts):
         start = 0
         for c in path_cuts:
-            segments.append(p.nodes[start : c + 1])
+            segments.append(p[start : c + 1])
             start = c
-        segments.append(p.nodes[start:])
+        segments.append(p[start:])
     expected = all(len(c) < q for c in cuts) and (
-        reference_check_consistency(PathSet(tuple(MonitoringPath(s) for s in segments))).consistent
+        reference_check_consistency(PathSet(tuple(segments))).consistent
     )
     assert verify_segmentation(ps, cuts, q) is expected
