@@ -11,7 +11,7 @@ everything else is imported from its submodule.
 
 from .bounds import BoundResult, Scenario, bound, bound_single_server
 from .construct import ConstructedInstance, ConstructionError, ica
-from .identifiability import TestingMatrix, one_identifiable_set, testing_matrix
+from .identifiability import one_identifiable_set, testing_matrix
 from .model import Graph, PathSet, build_graph
 from .routing import (
     ConsistencyReport,
@@ -31,7 +31,6 @@ __all__ = [
     "Graph",
     "PathSet",
     "Scenario",
-    "TestingMatrix",
     "bound",
     "bound_single_server",
     "build_graph",

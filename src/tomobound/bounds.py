@@ -94,8 +94,8 @@ def _digit_limit() -> int:
 
 
 def _too_long_to_print(x: Rational) -> bool:
-    limit = _digit_limit()
-    return limit > 0 and max(abs(x.numerator), x.denominator) >= 10**limit
+    limit, big = _digit_limit(), max(abs(x.numerator), x.denominator)
+    return limit > 0 and big.bit_length() > 3 * limit and big >= 10**limit  # 2**(3*limit) < 10**limit
 
 
 def _check_m(m: int) -> None:

@@ -69,7 +69,10 @@ def _int_range(text: str) -> tuple[int, ...]:
             raise argparse.ArgumentTypeError(f"reversed range {text!r}: {lo} > {hi}")
         if lo < 1:
             raise argparse.ArgumentTypeError(f"range {text!r} starts below 1")
-        return tuple(range(lo, hi + 1))
+        try:
+            return tuple(range(lo, hi + 1))
+        except (MemoryError, OverflowError):  # raised before any allocation at such sizes
+            raise argparse.ArgumentTypeError(f"range {text!r} does not fit in memory") from None
     return _int_list(text)
 
 
@@ -135,7 +138,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         phi1, ident = one_identifiable_set(t)
         report["phi1"] = phi1
         report["identifiable"] = sorted(ident)
-        report["per_path_distinct_encodings"] = [len({t.columns[u] for u in p}) for p in paths]
+        report["per_path_distinct_encodings"] = [len({t[u] for u in p}) for p in paths]
         if paths.all_simple():
             consistency = check_consistency(paths, limit=20)
             report["consistent"] = consistency.consistent

@@ -30,8 +30,8 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstructedInstance:
-    """A generated topology with its monitoring paths and per-node encodings.
-    ``labels[i]`` names node i, for the generators that name their nodes."""
+    """A generated topology, its monitoring paths and their testing matrix as
+    ``encodings``. ``labels[i]`` names node i, for generators that name nodes."""
 
     graph: Graph
     paths: PathSet
@@ -264,7 +264,7 @@ def _instance(
     n = path_set.max_node_id() + 1
     steps = [step for p in path_set.paths for step in zip(p, p[1:])]
     graph = build_graph(steps, node_count=n)
-    encodings = testing_matrix(path_set, n).columns
+    encodings = testing_matrix(path_set, n)
     return ConstructedInstance(
         graph=graph, paths=path_set, encodings=encodings, meta=meta, labels=labels
     )

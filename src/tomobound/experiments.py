@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures
-from .bounds import Scenario, bound, bound_single_server
+from .bounds import Scenario, _digit_limit, _too_long_to_print, bound, bound_single_server
 from .construct import fat_tree, fat_tree_all_pair_paths, fat_tree_route, ica
 from .identifiability import one_identifiable_set, testing_matrix
 from .model import Graph, PathSet, load_graph
@@ -60,7 +60,18 @@ class ResultTable:
 
     HEADER = ("m", "d", "scenario", "metric", "value")
 
+    def _check_printable(self) -> None:
+        """Raise a ValueError naming any number too long to print, with its row."""
+        for row in self.rows:
+            for name, x in zip(self.HEADER, row):
+                if isinstance(x, (int, Fraction)) and _too_long_to_print(x):
+                    raise ValueError(
+                        f"{name} of the {row[2]} {row[3]} row has more than "
+                        f"{_digit_limit()} decimal digits, too many to print"
+                    )
+
     def to_csv(self) -> str:
+        self._check_printable()
         buf = io.StringIO()
         buf.write(f"# experiment={self.name} seed={self.seed}\n")
         buf.write(",".join(self.HEADER) + "\n")
@@ -69,6 +80,7 @@ class ResultTable:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        self._check_printable()
         return json.dumps(
             {
                 "experiment": self.name,
@@ -214,8 +226,7 @@ def _tightness(spec: ExperimentSpec) -> list[tuple]:
             if d > (1 << (m - 1)) or (m * d).denominator != 1:
                 continue
             inst = ica(m, d)
-            t = testing_matrix(inst.paths, inst.graph.node_count)
-            phi1 = one_identifiable_set(t)[0]
+            phi1 = one_identifiable_set(inst.encodings)[0]
             rows.append((m, d, "ica", "phi1", phi1))
             rows.append((m, d, "ica", "bound", inst.meta["bound"]))
     return rows

@@ -11,7 +11,6 @@ writes path 1 leftmost, matching the usual display of such vectors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, compress
 from math import comb
 
@@ -29,21 +28,9 @@ def encoding_string(bits: int, m: int) -> str:
     return format(bits, f"0{m}b")[::-1]
 
 
-@dataclass(frozen=True)
-class TestingMatrix:
-    """m x n Boolean incidence of paths over nodes, stored column-wise.
-
-    ``columns[j]`` is node j's encoding as an int over path bits; row ``i`` is
-    recoverable as the set of nodes whose column has bit ``i`` set.
-    """
-
-    m: int
-    n: int
-    columns: tuple[int, ...]
-
-
-def testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
-    """Exact path-over-node incidence; duplicate node mentions within a path collapse.
+def testing_matrix(ps: PathSet, n: int) -> tuple[int, ...]:
+    """The m x n Boolean incidence of paths over nodes as its n columns: entry
+    j is node j's encoding; duplicate node mentions within a path collapse.
 
     Each node a path touches gets one ``bytearray`` of ceil(m/8) bytes, path i
     setting bit ``i & 7`` of byte ``i >> 3``; each such row becomes its
@@ -67,13 +54,13 @@ def testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
             rows[u][byte] |= bit
     for u, row in rows.items():
         cols[u] = int.from_bytes(row, "little")
-    return TestingMatrix(m=ps.m, n=n, columns=tuple(cols))
+    return tuple(cols)
 
 
-def one_identifiable_set(t: TestingMatrix) -> tuple[int, frozenset[int]]:
+def one_identifiable_set(columns: tuple[int, ...]) -> tuple[int, frozenset[int]]:
     """Nodes whose encoding is nonzero and unique among all columns, with their count."""
-    cols = list(compress(t.columns, t.columns))  # only nonzero columns can qualify
-    node_of = dict(zip(cols, compress(range(t.n), t.columns)))
+    cols = list(compress(columns, columns))  # only nonzero columns can qualify
+    node_of = dict(zip(cols, compress(range(len(columns)), columns)))
     ident = frozenset(node_of[c] for c, seen in Counter(cols).items() if seen == 1)
     return len(ident), ident
 
@@ -89,7 +76,7 @@ def _guard_oracle_size(n: int, k: int, work_cap: int) -> None:
 
 
 def k_identifiable_set(
-    t: TestingMatrix, k: int, work_cap: int = DEFAULT_WORK_CAP
+    columns: tuple[int, ...], k: int, work_cap: int = DEFAULT_WORK_CAP
 ) -> tuple[int, frozenset[int]]:
     """Nodes that are k-identifiable, with their count, by exhaustive enumeration.
 
@@ -102,16 +89,18 @@ def k_identifiable_set(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _guard_oracle_size(t.n, k, work_cap)
-    all_nodes = (1 << t.n) - 1
+    n = len(columns)
+    k = min(k, n)  # no failure set has more than n nodes
+    _guard_oracle_size(n, k, work_cap)
+    all_nodes = (1 << n) - 1
     union_of: dict[int, int] = {0: 0}
     inter_of: dict[int, int] = {0: 0}  # F = empty set has signature 0 and no members
     for size in range(1, k + 1):
-        for subset in combinations(range(t.n), size):
+        for subset in combinations(range(n), size):
             sig = 0
             mask = 0
             for j in subset:
-                sig |= t.columns[j]
+                sig |= columns[j]
                 mask |= 1 << j
             if sig in union_of:
                 union_of[sig] |= mask
@@ -123,34 +112,24 @@ def k_identifiable_set(
     for sig, union in union_of.items():
         bad |= union & ~inter_of[sig]
     good = all_nodes & ~bad
-    ident = frozenset(j for j in range(t.n) if good >> j & 1)
+    ident = frozenset(j for j in range(n) if good >> j & 1)
     return len(ident), ident
 
 
-@dataclass(frozen=True)
-class PathMatrix:
-    """Rows are the encodings of the nodes along one path, in traversal order."""
-
-    path_index: int
-    m: int
-    rows: tuple[int, ...]
-
-
-def path_matrix(ps: PathSet, t: TestingMatrix, i: int) -> PathMatrix:
-    """Path matrix of path ``i``; its own column is all ones by construction."""
+def path_matrix(ps: PathSet, columns: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Path ``i``'s matrix: its nodes' encodings in order; its own column is all ones."""
     if not 0 <= i < ps.m:
         raise ValueError(f"path index {i} out of range for m={ps.m}")
-    rows = tuple(t.columns[u] for u in ps.paths[i])
-    return PathMatrix(path_index=i, m=t.m, rows=rows)
+    return tuple(columns[u] for u in ps.paths[i])
 
 
-def column_run_counts(pm: PathMatrix) -> tuple[int, ...]:
-    """Per column, the number of maximal runs of consecutive ones down the rows."""
+def column_run_counts(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """For each of the m columns, the number of maximal runs of ones down the rows."""
     counts = []
-    for k in range(pm.m):
+    for k in range(m):
         runs = 0
         prev = 0
-        for r in pm.rows:
+        for r in rows:
             bit = r >> k & 1
             if bit and not prev:
                 runs += 1

@@ -80,7 +80,7 @@ def check_consistency(ps: PathSet, limit: int | None = None) -> ConsistencyRepor
     # path bitsets, bit i for path i: node -> the paths that cross it (the
     # testing-matrix columns), and normalised step (u, v) -> the paths that
     # take u and v consecutively
-    cross = testing_matrix(ps, ps.max_node_id() + 1).columns
+    cross = testing_matrix(ps, ps.max_node_id() + 1)
     step: dict[Edge, int] = {}
     for i, p in enumerate(ps.paths):
         for e in map(_norm_edge, p, p[1:]):
@@ -143,7 +143,7 @@ def q_lower_bound(ps: PathSet) -> int:
     that one path shares with another (itself included), i.e. the deepest
     level of any path's bit-sliced run counts. Witness only; no search."""
     _require_simple(ps)
-    cross = testing_matrix(ps, ps.max_node_id() + 1).columns
+    cross = testing_matrix(ps, ps.max_node_id() + 1)
     return max(len(_run_levels(cross, p)) for p in ps.paths)
 
 

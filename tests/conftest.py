@@ -15,12 +15,10 @@ import tomobound.construct
 import tomobound.identifiability
 from tomobound.construct import ConstructionError
 from tomobound.model import Graph, PathSet, PathViolation, _norm_edge, build_graph
-from tomobound.identifiability import TestingMatrix
 from tomobound.routing import ConsistencyReport, ConsistencyViolation, _require_simple
 
-# keep pytest from collecting the library names that match test_* and Test*
+# keep pytest from collecting the library function whose name starts with "test"
 tomobound.identifiability.testing_matrix.__test__ = False
-tomobound.identifiability.TestingMatrix.__test__ = False
 
 
 def adjacency(g: Graph) -> dict[int, list[int]]:
@@ -34,17 +32,17 @@ def adjacency(g: Graph) -> dict[int, list[int]]:
     return adj
 
 
-def brute_force_k_identifiable(t: TestingMatrix, v: int, k: int) -> bool:
+def brute_force_k_identifiable(t: tuple[int, ...], v: int, k: int) -> bool:
     """Literal evaluation: for all F1, F2 with |Fj| <= k and F1 and F2 differing
-    on v, the ORs of member encodings must differ."""
+    on v, the ORs of member encodings (the columns of ``t``) must differ."""
     subsets = [()]
     for size in range(1, k + 1):
-        subsets.extend(combinations(range(t.n), size))
+        subsets.extend(combinations(range(len(t)), size))
 
     def sig(fs):
         out = 0
         for j in fs:
-            out |= t.columns[j]
+            out |= t[j]
         return out
 
     for f1 in subsets:
@@ -56,8 +54,8 @@ def brute_force_k_identifiable(t: TestingMatrix, v: int, k: int) -> bool:
     return True
 
 
-def brute_force_k_identifiable_set(t: TestingMatrix, k: int) -> set[int]:
-    return {v for v in range(t.n) if brute_force_k_identifiable(t, v, k)}
+def brute_force_k_identifiable_set(t: tuple[int, ...], k: int) -> set[int]:
+    return {v for v in range(len(t)) if brute_force_k_identifiable(t, v, k)}
 
 
 def reference_encoding_string(bits: int, m: int) -> str:
@@ -66,7 +64,7 @@ def reference_encoding_string(bits: int, m: int) -> str:
     return "".join("1" if bits >> i & 1 else "0" for i in range(m))
 
 
-def reference_testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
+def reference_testing_matrix(ps: PathSet, n: int) -> tuple[int, ...]:
     """OR ``1 << i`` into node u's column at every incidence of path i, checking
     each id as it is met: the loop ``testing_matrix`` ran before it built each
     column once."""
@@ -76,7 +74,7 @@ def reference_testing_matrix(ps: PathSet, n: int) -> TestingMatrix:
             if u >= n:
                 raise ValueError(f"path {i} references node {u} >= n={n}")
             cols[u] |= 1 << i
-    return TestingMatrix(m=ps.m, n=n, columns=tuple(cols))
+    return tuple(cols)
 
 
 def reference_validate_path_set(g: Graph, ps: PathSet, require_simple: bool = False) -> list[PathViolation]:
@@ -103,14 +101,14 @@ def reference_validate_path_set(g: Graph, ps: PathSet, require_simple: bool = Fa
     return out
 
 
-def reference_one_identifiable_set(t: TestingMatrix) -> tuple[int, frozenset[int]]:
+def reference_one_identifiable_set(t: tuple[int, ...]) -> tuple[int, frozenset[int]]:
     """Count every column, zero ones included, then keep the nonzero columns
     seen exactly once: the loop ``one_identifiable_set`` ran before it skipped
     zero columns."""
     seen: dict[int, int] = {}
-    for c in t.columns:
+    for c in t:
         seen[c] = seen.get(c, 0) + 1
-    ident = frozenset(j for j, c in enumerate(t.columns) if c != 0 and seen[c] == 1)
+    ident = frozenset(j for j, c in enumerate(t) if c != 0 and seen[c] == 1)
     return len(ident), ident
 
 

@@ -82,7 +82,7 @@ def test_criterion_3_consistent_routing_structure():
         assert rep.consistent, (seed, rep.violations[:2])
         t = testing_matrix(ps, g.node_count)
         for i in range(ps.m):
-            assert max(column_run_counts(path_matrix(ps, t, i))) <= 1, seed
+            assert max(column_run_counts(path_matrix(ps, t, i), ps.m)) <= 1, seed
         graphs += 1
     report(3, f"{graphs} random graphs: routed sets consistent, every column a single run")
 

@@ -148,6 +148,24 @@ class TestCheckCommand:
         assert data["phi1"] == 3
         assert data["phi_k"] == 0
 
+    def test_k_far_above_n_answers_as_k_n(self, tmp_path, capsys):
+        # no failure set has more than n = 10 nodes; --k 10**9 must not loop to 10**9
+        from tomobound.fixtures import load_instance
+        from tomobound.model import save_graph, save_paths
+
+        g, ps = load_instance("consistent10")
+        save_graph(g, tmp_path / "g.edges")
+        save_paths(ps, tmp_path / "p.paths")
+        files = [str(tmp_path / "g.edges"), str(tmp_path / "p.paths")]
+        code, out, _ = run_cli(capsys, "check", *files, "--k", "10")
+        assert code == 0
+        at_n = json.loads(out)
+        code, out, _ = run_cli(capsys, "check", *files, "--k", "1000000000")
+        assert code == 0
+        data = json.loads(out)
+        assert data["k"] == 1000000000  # the report keeps the requested k
+        assert data["phi_k"] == at_n["phi_k"]
+
     def test_bundled_39_instance(self, tmp_path, capsys):
         from tomobound.fixtures import load_instance
         from tomobound.model import save_graph, save_paths
@@ -392,6 +410,40 @@ class TestExperimentCommand:
             main(["experiment", "--name", "bound_sweep", *form, "--d", "1"])
         assert exc.value.code == 2
         assert "argument --m: range '-2..3' starts below 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--m", "--q"])
+    @pytest.mark.parametrize("hi", [2**62, 10**30], ids=["2^62", "10^30"])
+    def test_range_too_large_for_memory_named(self, capsys, flag, hi):
+        # Python refuses both tuples before it allocates anything
+        text = f"1..{hi}"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--name", "bound_sweep", "--m", "1", "--d", "1", flag, text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: range '{text}' does not fit in memory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python turns ints of any length into text",
+    )
+    @pytest.mark.parametrize("column", ["d", "value"])
+    def test_too_long_to_print_names_column_and_row(self, tmp_path, capsys, column):
+        limit = sys.get_int_max_str_digits()
+        if column == "d":
+            argv = ["--m", "3", "--d", f"1e{limit + 700}", "--scenario", "arbitrary-avg"]
+            row = "arbitrary-avg bound"
+        else:  # the bound 2^m - 1 has more than `limit` digits
+            argv = ["--m", str(4 * limit), "--d", "1", "--scenario", "arbitrary-unbounded"]
+            row = "arbitrary-unbounded bound"
+        code, out, err = run_cli(
+            capsys, "experiment", "--name", "bound_sweep", *argv, "--json-out", str(tmp_path / "t.json")
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {column} of the {row} row has more than {limit} decimal digits, too many to print\n"
+        )
 
     def test_reversed_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

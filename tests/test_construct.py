@@ -129,8 +129,8 @@ class TestIca:
 
     def test_matrix_reproduces_encodings(self):
         inst = ica(5, 6)
-        t = testing_matrix(inst.paths, inst.graph.node_count)
-        assert t.columns == inst.encodings
+        # the encodings are the testing matrix itself, a plain tuple of columns
+        assert inst.encodings == testing_matrix(inst.paths, inst.graph.node_count)
 
     def test_tightness_grid(self):
         # every admissible (m, dbar) grid point meets the bound exactly
@@ -146,7 +146,7 @@ class TestIca:
             inst = ica(m, d)
             t = testing_matrix(inst.paths, inst.graph.node_count)
             imax = int(inst.meta["i_max"])  # type: ignore[arg-type]
-            assert max(c.bit_count() for c in t.columns) <= imax + 1
+            assert max(c.bit_count() for c in t) <= imax + 1
 
     def test_average_length_exact(self):
         inst = ica(4, Fraction(17, 4))
@@ -312,7 +312,7 @@ class TestHalfGrid:
         assert phi1(inst) == 36
         assert check_consistency(inst.paths).consistent
         t = testing_matrix(inst.paths, 36)
-        assert {c.bit_count() for c in t.columns} == {1, 2}
+        assert {c.bit_count() for c in t} == {1, 2}
 
     def test_paths_fit_graph(self):
         for m in (1, 2, 5, 8):
@@ -331,8 +331,8 @@ class TestHalfGrid:
 
     def test_matrix_reproduces_encodings(self):
         inst = half_grid(5)
-        t = testing_matrix(inst.paths, inst.graph.node_count)
-        assert t.columns == inst.encodings
+        # the encodings are the testing matrix itself, a plain tuple of columns
+        assert inst.encodings == testing_matrix(inst.paths, inst.graph.node_count)
 
 
 class TestMonitoringTree:
@@ -354,8 +354,8 @@ class TestMonitoringTree:
         expected = bound_single_server(m, None, d_max).bound
         assert inst.graph.node_count == expected
         assert phi1(inst) == expected
-        t = testing_matrix(inst.paths, inst.graph.node_count)
-        assert t.columns == inst.encodings
+        # the encodings are the testing matrix itself, a plain tuple of columns
+        assert inst.encodings == testing_matrix(inst.paths, inst.graph.node_count)
 
     def test_paths_share_root_and_respect_cap(self):
         for m, d_max in [(7, 4), (7, 3), (12, 4), (48, 3)]:
@@ -484,7 +484,7 @@ class TestFatTree:
         assert verify_segmentation(ps, midpoint_cuts(ps), 2)
         t = testing_matrix(ps, ft.graph.node_count)
         for i in range(ps.m):
-            assert max(column_run_counts(path_matrix(ps, t, i))) <= 2
+            assert max(column_run_counts(path_matrix(ps, t, i), ps.m)) <= 2
 
     # sha256 of the edge list and of the all-pairs path file, recorded before the
     # node-id layout was written as id functions

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,26 @@ class TestResultTable:
         data = json.loads(table.to_json())
         assert data["seed"] == 5
         assert data["rows"] == [[2, "3/2", "ica", "phi1", 2]]
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python turns ints of any length into text",
+    )
+    @pytest.mark.parametrize("column", ["d", "value"])
+    @pytest.mark.parametrize("form", ["to_csv", "to_json"])
+    def test_too_long_to_print_names_column_and_row(self, column, form):
+        limit = sys.get_int_max_str_digits()
+        huge = 10**limit  # one digit more than Python prints
+        d, value = (Fraction(huge, 3), 5) if column == "d" else (Fraction(2), huge)
+        table = ResultTable(
+            name="bound_sweep", seed=0,
+            rows=((3, Fraction(2), "arbitrary-avg", "bound", 4), (3, d, "consistent-avg", "bound", value)),
+        )
+        with pytest.raises(ValueError) as exc:
+            getattr(table, form)()
+        assert str(exc.value) == (
+            f"{column} of the consistent-avg bound row has more than {limit} decimal digits, too many to print"
+        )
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):

@@ -56,7 +56,7 @@ class TestHalfGridPlus38:
         assert check_consistency(ps).consistent
         t = testing_matrix(ps, 38)
         assert one_identifiable_set(t)[0] == 38
-        assert max(c.bit_count() for c in t.columns) == 3
+        assert max(c.bit_count() for c in t) == 3
         assert bound("consistent-avg", 8, 38, dbar).bound == 38
 
 
@@ -70,7 +70,7 @@ class TestSevenPath39:
         assert check_consistency(ps).consistent
         t = testing_matrix(ps, 39)
         assert one_identifiable_set(t)[0] == 39
-        assert max(c.bit_count() for c in t.columns) == 3
+        assert max(c.bit_count() for c in t) == 3
 
     def test_meets_consistent_bound_exactly(self):
         g, ps = load_instance("seven_path39")

@@ -38,7 +38,7 @@ class TestCheckConsistency:
         report = check_consistency(ps)
         assert not report.consistent
         t = testing_matrix(ps, g.node_count)
-        by_encoding = {encoding_string(c, t.m): j for j, c in enumerate(t.columns)}
+        by_encoding = {encoding_string(c, ps.m): j for j, c in enumerate(t)}
         named = {
             (v.path_i, v.path_j, frozenset((v.u, v.v))) for v in report.violations
         }
@@ -249,7 +249,7 @@ class TestConsistentShortestPaths:
             ps = consistent_shortest_paths(g, pairs)
             t = testing_matrix(ps, g.node_count)
             for i in range(ps.m):
-                assert max(column_run_counts(path_matrix(ps, t, i))) <= 1
+                assert max(column_run_counts(path_matrix(ps, t, i), ps.m)) <= 1
 
 
 @settings(max_examples=50, deadline=None)
