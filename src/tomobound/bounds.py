@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
+
+from ._record import record
 
 Rational = int | Fraction
 
@@ -37,7 +38,7 @@ class Scenario(str, Enum):
     MULTI_FLEXIBLE = "multi-flexible"
 
 
-@dataclass(frozen=True)
+@record
 class BoundResult:
     """One evaluated bound plus the inputs and intermediates that produced it."""
 

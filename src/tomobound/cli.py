@@ -93,16 +93,17 @@ _SCENARIO_ALIASES = {
 
 
 def _resolve_scenario(name: str, have_dbar: bool, have_dmax: bool) -> Scenario:
-    if name in _SCENARIO_ALIASES:
-        by_avg, by_max = _SCENARIO_ALIASES[name]
-        if have_dbar and have_dmax:
-            raise ValueError(f"scenario {name!r}: give either --dbar or --dmax, not both")
-        if have_dmax:
-            return by_max
-        if have_dbar:
-            return by_avg
-        raise ValueError(f"scenario {name!r} requires --dbar or --dmax")
-    return Scenario(name)
+    scenario = None if name in _SCENARIO_ALIASES else Scenario(name)
+    if have_dbar and have_dmax:
+        raise ValueError(f"scenario {name!r}: give either --dbar or --dmax, not both")
+    if scenario is not None:
+        return scenario
+    by_avg, by_max = _SCENARIO_ALIASES[name]
+    if have_dmax:
+        return by_max
+    if have_dbar:
+        return by_avg
+    raise ValueError(f"scenario {name!r} requires --dbar or --dmax")
 
 
 def cmd_bound(args: argparse.Namespace) -> int:

@@ -10,12 +10,12 @@ bounds structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from ._record import record
 from .bounds import Rational, Scenario, bound, bound_single_server
 from .identifiability import encoding_string, testing_matrix
 from .model import Graph, PathSet, build_graph
@@ -28,7 +28,7 @@ class ConstructionError(RuntimeError):
     """The generator could not realize the requested instance."""
 
 
-@dataclass(frozen=True)
+@record
 class ConstructedInstance:
     """A generated topology, its monitoring paths and their testing matrix as
     ``encodings``. ``labels[i]`` names node i, for generators that name nodes."""
@@ -437,7 +437,7 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FatTree:
     """Three-layer fat-tree of k-port switches with the usual pod addressing:
     edge/aggregation switches are 10.pod.switch.1, cores 10.k.j.i, hosts

@@ -10,11 +10,11 @@ from __future__ import annotations
 import io
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures
+from ._record import record
 from .bounds import Scenario, _digit_limit, _too_long_to_print, bound, bound_single_server
 from .construct import fat_tree, fat_tree_all_pair_paths, fat_tree_route, ica
 from .identifiability import one_identifiable_set, testing_matrix
@@ -22,7 +22,7 @@ from .model import Graph, PathSet, load_graph
 from .routing import midpoint_cuts, q_lower_bound, shortest_path_tree, verify_segmentation, walk_to_root
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentSpec:
     """Parameter grid and provenance for one experiment run."""
 
@@ -50,7 +50,7 @@ class ExperimentSpec:
                 raise ValueError(f"m must be >= 1, got m={m}")
 
 
-@dataclass(frozen=True)
+@record
 class ResultTable:
     """Long-format rows; header and row order are stable for byte-identical output."""
 
@@ -134,6 +134,8 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
     if not spec.m_values:
         raise ValueError("random_placement needs m_values")
     g = _load_topology(spec)
+    if g.node_count == 0:
+        raise ValueError(f"topology {spec.topology} has no nodes to place a server or clients on")
     if spec.server is not None and not 0 <= spec.server < g.node_count:
         raise ValueError(f"server {spec.server} is not a node of the {g.node_count}-node topology")
     rng = random.Random(spec.seed)

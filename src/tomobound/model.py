@@ -9,10 +9,11 @@ takes them as comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from ._record import record
 
 Edge = tuple[int, int]
 
@@ -21,7 +22,7 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Undirected graph. Edges are stored normalized as ``(min, max)`` pairs."""
 
@@ -86,7 +87,7 @@ def build_graph(edge_list: Iterable[tuple[int, int]], node_count: int | None = N
     return Graph(node_count=n, edges=frozenset(edges))
 
 
-@dataclass(frozen=True)
+@record
 class PathSet:
     """A nonempty collection of monitoring paths; path order is part of the contract.
 
@@ -128,7 +129,7 @@ class PathSet:
         return all(len(set(p)) == len(p) for p in self.paths)
 
 
-@dataclass(frozen=True)
+@record
 class PathViolation:
     """One defect found while validating a path set against a graph."""
 

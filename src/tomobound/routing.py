@@ -7,15 +7,15 @@ sub-path traversed in opposite directions still counts as the same route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
+from ._record import record
 from .identifiability import testing_matrix
 from .model import Edge, Graph, PathSet, _norm_edge
 
 
-@dataclass(frozen=True)
+@record
 class ConsistencyViolation:
     """Two paths that route differently between a shared node pair."""
 
@@ -33,7 +33,7 @@ class ConsistencyViolation:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ConsistencyReport:
     consistent: bool
     violations: tuple[ConsistencyViolation, ...]

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from conftest import reference_check_consistency, reference_q_lower_bound
+from tomobound.bounds import Scenario
 from tomobound.cli import main
 
 
@@ -109,6 +110,15 @@ class TestBoundCommand:
         )
         assert code == 2
         assert "not both" in err
+
+    @pytest.mark.parametrize("scenario", [s.value for s in Scenario])
+    def test_dbar_dmax_conflict_full_tag(self, capsys, scenario):
+        code, out, err = run_cli(
+            capsys, "bound", "--scenario", scenario, "--m", "3",
+            "--dbar", "3", "--dmax", "4", "--n", "50",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: scenario {scenario!r}: give either --dbar or --dmax, not both\n"
 
 
 class TestCheckCommand:
@@ -383,6 +393,16 @@ class TestExperimentCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: server {server} is not a node of the 108-node topology\n"
+
+    @pytest.mark.parametrize("edges", ["nodes 0\n", "# only a comment\n"], ids=["header", "comments"])
+    def test_topology_without_nodes_exits_2(self, tmp_path, capsys, edges):
+        (tmp_path / "g.edges").write_text(edges)
+        code, out, err = run_cli(
+            capsys, "experiment", "--name", "random_placement", "--m", "2",
+            "--topology", str(tmp_path / "g.edges"),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: topology {tmp_path / 'g.edges'} has no nodes to place a server or clients on\n"
 
     @pytest.mark.parametrize("count", [2**62, 2**63])
     def test_header_too_large_for_neighbour_table_exits_2(self, tmp_path, capsys, count):
