@@ -38,6 +38,15 @@ class Scenario(str, Enum):
     MULTI_FLEXIBLE = "multi-flexible"
 
 
+_READS_MAX = (Scenario.ARBITRARY_MAX, Scenario.CONSISTENT_MAX, Scenario.SINGLE_SERVER)
+_EXTRA = {Scenario.PARTIAL_CONSISTENT: "q", Scenario.MULTI_FIXED: "m_s", Scenario.MULTI_FLEXIBLE: "s"}
+# scenario -> (the path length it reads as d: "avg", "max" or None; the one further bound() input it needs)
+SCENARIO_INPUTS = {
+    s: ("max" if s in _READS_MAX else None if s is Scenario.ARBITRARY_UNBOUNDED else "avg", _EXTRA.get(s))
+    for s in Scenario
+}
+
+
 @record
 class BoundResult:
     """One evaluated bound plus the inputs and intermediates that produced it."""
@@ -57,33 +66,19 @@ class BoundResult:
     notes: tuple[str, ...] = ()
 
     def as_json_dict(self) -> dict:
-        """The JSON form; a ValueError names any field too long to print."""
+        """The JSON form: the fields in order, Fractions as text, and a defaulted
+        field only when set; a ValueError names any field too long to print."""
         for name in ("d", "n_max", "n_max_exact"):
             value = getattr(self, name)
             if value is not None and _too_long_to_print(value):
                 raise ValueError(
                     f"{name} has more than {_digit_limit()} decimal digits, too many to print"
                 )
-        out: dict = {
-            "scenario": self.scenario,
-            "m": self.m,
-            "n": self.n,
-            "d": None if self.d is None else str(self.d),
-            "d_kind": self.d_kind,
-            "n_max": self.n_max,
-            "i_max": self.i_max,
-            "bound": self.bound,
-        }
-        if self.q is not None:
-            out["q"] = self.q
-        if self.servers is not None:
-            out["servers"] = self.servers
-        if self.clients_per_server is not None:
-            out["clients_per_server"] = list(self.clients_per_server)
-        if self.n_max_exact is not None:
-            out["n_max_exact"] = str(self.n_max_exact)
-        if self.notes:
-            out["notes"] = list(self.notes)
+        out: dict = {}
+        for name in BoundResult.__annotations__:  # the fields, in order
+            value = getattr(self, name)
+            if value != getattr(BoundResult, name, ...):  # ... stands for "no default": always shown
+                out[name] = str(value) if isinstance(value, Fraction) else value
         return out
 
 
@@ -196,7 +191,7 @@ def bound_single_server(m: int, n: int | None, d_max: int) -> BoundResult:
         m=m,
         n=n,
         d=Fraction(d_max),
-        d_kind="max",
+        d_kind=SCENARIO_INPUTS[Scenario.SINGLE_SERVER][0],
         n_max=None,
         i_max=None,
         bound=_cap_by_n(value, n),
@@ -214,17 +209,21 @@ def bound(
 ) -> BoundResult:
     """Dispatch a scenario through N_max -> i_max -> layer bound.
 
-    ``d`` is the average path length for the *-avg scenarios (and the two
-    multi-server ones) and the maximum path length for the *-max and
-    single-server scenarios; the unbounded scenario takes no d at all.
+    ``d`` is the average or maximum path length, as ``SCENARIO_INPUTS`` says
+    (the unbounded scenario takes no d at all); a ``q``, ``m_s`` or ``s`` that
+    the scenario does not read is a ValueError.
     """
     scenario = Scenario(scenario)
+    d_kind, extra = SCENARIO_INPUTS[scenario]
+    for name, value in (("q", q), ("m_s", m_s), ("s", s)):
+        if value is not None and name != extra:
+            raise ValueError(f"scenario {scenario.value} does not read {name}")
     _check_m(m)
     if scenario is Scenario.ARBITRARY_UNBOUNDED:
         # 2^m - 1 >= n exactly when m >= n.bit_length(); build 2^m only below that
         full = n if n is not None and m >= n.bit_length() else (1 << m) - 1
         return BoundResult(
-            scenario=scenario.value, m=m, n=n, d=None, d_kind=None,
+            scenario=scenario.value, m=m, n=n, d=None, d_kind=d_kind,
             n_max=None, i_max=None, bound=_cap_by_n(full, n),
         )
     if d is None:
@@ -288,11 +287,11 @@ def bound(
         m=m,
         n=n,
         d=Fraction(d),
-        d_kind="max" if scenario.value.endswith("-max") else "avg",
+        d_kind=d_kind,
         n_max=nmax,
         i_max=imax,
         bound=value,
-        q=q if scenario is Scenario.PARTIAL_CONSISTENT else None,
+        q=q,
         servers=servers,
         clients_per_server=clients,
         n_max_exact=exact,

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import Scenario, bound
+from .bounds import SCENARIO_INPUTS, Scenario, bound
 from .construct import (
     ConstructionError,
     fat_tree,
@@ -84,40 +84,24 @@ def _work_cap() -> int:
         raise ValueError(f"TOMOBOUND_WORK_CAP must be an integer, got {raw!r}") from None
 
 
-_SCENARIO_ALIASES = {
-    # convenience names resolved by which length flag is present
-    "arbitrary": (Scenario.ARBITRARY_AVG, Scenario.ARBITRARY_MAX),
-    "consistent": (Scenario.CONSISTENT_AVG, Scenario.CONSISTENT_MAX),
-    "partial": (Scenario.PARTIAL_CONSISTENT, Scenario.PARTIAL_CONSISTENT),
-}
-
-
-def _resolve_scenario(name: str, have_dbar: bool, have_dmax: bool) -> Scenario:
-    scenario = None if name in _SCENARIO_ALIASES else Scenario(name)
-    if have_dbar and have_dmax:
-        raise ValueError(f"scenario {name!r}: give either --dbar or --dmax, not both")
-    if scenario is not None:
-        return scenario
-    by_avg, by_max = _SCENARIO_ALIASES[name]
-    if have_dmax:
-        return by_max
-    if have_dbar:
-        return by_avg
-    raise ValueError(f"scenario {name!r} requires --dbar or --dmax")
+# what bounds.SCENARIO_INPUTS reads -> the bound flag that gives it
+_BOUND_FLAGS = {"avg": "dbar", "max": "dmax", "q": "q", "m_s": "ms", "s": "servers"}
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    scenario = _resolve_scenario(args.scenario, args.dbar is not None, args.dmax is not None)
-    d = args.dbar if args.dbar is not None else args.dmax
-    result = bound(
-        scenario,
-        m=args.m,
-        n=args.n,
-        d=d,
-        q=args.q,
-        m_s=args.ms,
-        s=args.servers,
-    )
+    name, d = args.scenario, args.dbar if args.dbar is not None else args.dmax
+    if args.dbar is not None and args.dmax is not None:
+        raise ValueError(f"scenario {name!r}: give either --dbar or --dmax, not both")
+    if name in ("arbitrary", "consistent"):  # the length flag picks -avg or -max
+        if d is None:
+            raise ValueError(f"scenario {name!r} requires --dbar or --dmax")
+        name += "-avg" if args.dmax is None else "-max"
+    scenario = Scenario("partial-consistent" if name == "partial" else name)
+    reads = {_BOUND_FLAGS.get(given) for given in SCENARIO_INPUTS[scenario]}
+    for flag in _BOUND_FLAGS.values():
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"scenario {scenario.value} does not read --{flag}")
+    result = bound(scenario, m=args.m, n=args.n, d=d, q=args.q, m_s=args.ms, s=args.servers)
     print(json.dumps(result.as_json_dict(), indent=1))
     return 0
 
@@ -255,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bound", help="evaluate a scenario bound, printing a JSON result")
     b.add_argument("--scenario", required=True,
-                   help="arbitrary | consistent | partial (picks avg/max from the length flag), "
-                        "or a full tag like consistent-avg, arbitrary-unbounded, single-server, "
-                        "multi-fixed, multi-flexible")
+                   help="arbitrary | consistent (picks avg/max from the length flag), partial "
+                        "(partial-consistent), or a full tag like consistent-avg, "
+                        "arbitrary-unbounded, single-server, multi-fixed, multi-flexible")
     b.add_argument("--m", type=int, required=True, help="number of monitoring paths / clients")
     b.add_argument("--n", type=int, required=True, help="number of network nodes")
     b.add_argument("--dbar", type=_fraction, help="average path length (rational, e.g. 8.75 or 82/7)")

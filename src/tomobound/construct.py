@@ -22,6 +22,7 @@ from .model import Graph, PathSet, build_graph
 from .routing import walk_to_root
 
 _ENUMERATION_GUARD = 2_000_000  # candidates tried over a whole top-layer search
+_PAIR_GUARD = 1 << 20  # host pairs fat_tree_all_pair_paths routes; k=16 has 523,776
 
 
 class ConstructionError(RuntimeError):
@@ -580,7 +581,9 @@ def _route(
 
 def fat_tree_all_pair_paths(ft: FatTree) -> PathSet:
     """Routes for every unordered host pair, in ascending (src, dst) id order."""
-    k = ft.k
+    k, n_hosts = ft.k, len(ft.hosts)
+    if (pairs := n_hosts * (n_hosts - 1) // 2) > _PAIR_GUARD:
+        raise ValueError(f"fat-tree k={k} has {pairs} host pairs, more than {_PAIR_GUARD} to route")
     hosts = [(h, _host_address(k, h)) for h in ft.hosts]
     return PathSet(
         tuple(

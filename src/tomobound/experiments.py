@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fixtures
 from ._record import record
-from .bounds import Scenario, _digit_limit, _too_long_to_print, bound, bound_single_server
+from .bounds import SCENARIO_INPUTS, Scenario, _digit_limit, _too_long_to_print, bound, bound_single_server
 from .construct import fat_tree, fat_tree_all_pair_paths, fat_tree_route, ica
 from .identifiability import one_identifiable_set, testing_matrix
 from .model import Graph, PathSet, load_graph
@@ -111,13 +111,12 @@ def _bound_sweep(spec: ExperimentSpec) -> list[tuple]:
     for d in spec.d_values:
         for m in spec.m_values:
             for sc in spec.scenarios:
-                scenario = Scenario(sc)
-                if scenario is Scenario.PARTIAL_CONSISTENT:
+                if SCENARIO_INPUTS[Scenario(sc)][1] == "q":
                     for q in spec.q_values or (1,):
-                        r = bound(scenario, m, spec.n, d=d, q=q)
+                        r = bound(sc, m, spec.n, d=d, q=q)
                         rows.append((m, d, f"{sc}(q={q})", "bound", r.bound))
                 else:
-                    r = bound(scenario, m, spec.n, d=d)
+                    r = bound(sc, m, spec.n, d=d)
                     rows.append((m, d, sc, "bound", r.bound))
     return rows
 

@@ -341,6 +341,16 @@ class TestBoundDispatch:
         with pytest.raises(ValueError):
             bound("multi-flexible", 4, 100, d=12)
 
+    @pytest.mark.parametrize(
+        "scenario, given, unread",
+        [("consistent-avg", {"q": 2}, "q"), ("arbitrary-unbounded", {"s": 1}, "s"),
+         ("partial-consistent", {"q": 2, "m_s": (2, 2)}, "m_s"),
+         ("multi-fixed", {"m_s": (2, 2), "s": 2}, "s"), ("multi-flexible", {"s": 2, "q": 1}, "q")],
+    )
+    def test_unread_input_rejected(self, scenario, given, unread):
+        with pytest.raises(ValueError, match=f"^scenario {scenario} does not read {unread}$"):
+            bound(scenario, 4, 50, d=3, **given)
+
     def test_m1_consistent_warns(self):
         with pytest.warns(UserWarning, match="m>1"):
             r = bound("consistent-avg", 1, 10, d=5)

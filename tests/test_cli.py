@@ -120,6 +120,36 @@ class TestBoundCommand:
         assert (code, out) == (2, "")
         assert err == f"error: scenario {scenario!r}: give either --dbar or --dmax, not both\n"
 
+    @pytest.mark.parametrize("flag", ["--dbar", "--dmax", "--q", "--ms", "--servers"])
+    @pytest.mark.parametrize("name", [*(s.value for s in Scenario), "arbitrary", "consistent", "partial"])
+    def test_each_scenario_reads_only_its_flags(self, capsys, name, flag):
+        # each set of flags that completes a scenario's input, spelled out here
+        # rather than read from bounds.SCENARIO_INPUTS
+        complete = {
+            "arbitrary-avg": ["--dbar"], "arbitrary-max": ["--dmax"], "arbitrary-unbounded": [""],
+            "consistent-avg": ["--dbar"], "consistent-max": ["--dmax"],
+            "partial-consistent": ["--dbar --q"], "single-server": ["--dmax"],
+            "multi-fixed": ["--dbar --ms"], "multi-flexible": ["--dbar --servers"],
+            "arbitrary": ["--dbar", "--dmax"], "consistent": ["--dbar", "--dmax"], "partial": ["--dbar --q"],
+        }[name]
+        value = {"--dbar": "3", "--dmax": "3", "--q": "2", "--ms": "2,2", "--servers": "2"}
+        reading = [flags.split() for flags in complete if flag in flags.split()]
+        lengths = ("--dbar", "--dmax") if flag in ("--dbar", "--dmax") else ()  # one length at a time
+        flags = reading[0] if reading else [*(f for f in complete[0].split() if f not in lengths), flag]
+        argv = [arg for f in flags for arg in (f, value[f])]
+        code, out, err = run_cli(capsys, "bound", "--scenario", name, "--m", "4", "--n", "50", *argv)
+        if reading:
+            assert (code, err) == (0, "")
+            key, shown = {"--dbar": ("d_kind", "avg"), "--dmax": ("d_kind", "max"), "--q": ("q", 2),
+                          "--ms": ("clients_per_server", [2, 2]), "--servers": ("servers", 2)}[flag]
+            assert json.loads(out)[key] == shown
+        else:
+            # the short names resolve with the --dbar of their first flag set
+            tag = {"arbitrary": "arbitrary-avg", "consistent": "consistent-avg",
+                   "partial": "partial-consistent"}.get(name, name)
+            assert (code, out) == (2, "")
+            assert err == f"error: scenario {tag} does not read {flag}\n"
+
 
 class TestCheckCommand:
     def test_half_grid_round_trip(self, tmp_path, capsys):
@@ -320,6 +350,14 @@ class TestConstructCommand:
         assert data["nodes"] == 36
         sidecar = json.loads((tmp_path / "fat_tree.json").read_text())
         assert len(sidecar["addresses"]) == 36
+
+    def test_fat_tree_too_many_pairs(self, tmp_path, capsys, monkeypatch):
+        # the guard lowered below k=4's 120 host pairs, so that no run routes millions
+        monkeypatch.setattr("tomobound.construct._PAIR_GUARD", 119)
+        code, out, err = run_cli(capsys, "construct", "fat-tree", "--k", "4", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: fat-tree k=4 has 120 host pairs, more than 119 to route\n"
+        assert not any(tmp_path.iterdir())
 
     def test_monitoring_tree(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -403,6 +403,12 @@ class TestFatTree:
         ft = fat_tree(2)
         assert (len(ft.core), len(ft.aggregation), len(ft.edge), len(ft.hosts)) == (1, 2, 2, 2)
 
+    def test_all_pair_paths_guard(self):
+        # k=18 has 1458 hosts and C(1458, 2) = 1,062,153 pairs, over the 2^20 guard
+        with pytest.raises(ValueError, match=r"^fat-tree k=18 has 1062153 host pairs, more than 1048576"):
+            fat_tree_all_pair_paths(fat_tree(18))
+        assert fat_tree_all_pair_paths(fat_tree(4)).m == 120
+
     def test_rejects_odd_k(self):
         with pytest.raises(ValueError):
             fat_tree(3)

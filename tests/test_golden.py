@@ -200,14 +200,14 @@ DIGESTS: dict[str, str] = {
     "bound partial-consistent m=4": "debd8cb401518a4aae05e559a2986b4ef76de216217080239fa9bde88d484b7f",
     "bound partial-consistent m=8": "e405eb5fbdfdbfc071bda1c843accbfb1b0702fb0df7e85577d11a5830329a4c",
     "bound readme consistent": "839671d12e6fce8969ff5876f881616c86890eb0d00f2d7a902e4b2bc257827c",
-    "bound single-server fractional": "963ba1e9390a9d0638a7ecf1304ca11479a5acea370afbd50dc8df0dc1a16b3b",
+    "bound single-server fractional": "5505a1da22afd521b0a06e87739405bbef9bb38130737390b3be0b74e45fb443",
     "bound single-server m=1": "f6ba838dc4fdb333a59933f093e6218ab8cef73a651c28775a238f0952e7783d",
     "bound single-server m=13": "822bce407a8b1be65cb12c521299a28913f4552a9242d6ecdc1c4ca08dc85b70",
     "bound single-server m=2": "cffe8206c3148bbe17240f9d3c1fe19655a287f5d5dadfc465fd543c860c18b6",
     "bound single-server m=4": "d11bc899201fe7c5d04319143ff5440deae9734a7b506b63c1ddb8b727b781dd",
     "bound single-server m=8": "31c28f693ded2db2db020b797d86f7ab1646ded5eec20e98ccc9aa5c7b5aa7ff",
-    "bound stray flags": "03c9fe3eef7c2d5acc7f2cb5f51cad57227e89b00b08ce2d6e96474707c6eb39",
-    "bound unbounded stray dbar": "735fc50d81230b4bf0b2ee03ab6847c5221793a33aed4c02b0824fc74f497ba3",
+    "bound stray flags": "a0eddb8b5ce12010e7b85074704fa621aaa4029c970bdc72ca96ef0bf9e9828d",
+    "bound unbounded stray dbar": "1e9d7f6e75830cdb429a524afe71f0cd622d1b781795be5c77c11dad1c6b31ad",
     "bound zero dbar": "e6b73b8a52518eb03ebd37595919f5efcbca2d454c702e389011e8a78e4d8475",
     "check consistent10": "f17d3041cecf7139fb57ed30d38fac7c39b08094c0580b2df41e39e62511137a",
     "check consistent10 --k 2": "6749a95d46846bd6e609a28f6c644d82946dd9d8336c396665e0c9e76b468c1a",
