@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .bounds import SCENARIO_INPUTS, Scenario, bound
 from .construct import (
+    ConstructedInstance,
     ConstructionError,
     fat_tree,
     fat_tree_all_pair_paths,
@@ -84,6 +85,15 @@ def _work_cap() -> int:
         raise ValueError(f"TOMOBOUND_WORK_CAP must be an integer, got {raw!r}") from None
 
 
+def _given_flags(what: str, args: argparse.Namespace, flags: tuple[str, ...], reads: set | dict) -> dict:
+    """The given ones of ``flags`` (those not None) by name; a ValueError names
+    the first that ``what`` does not read, before any file is read or written."""
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    if unread := [flag for flag in given if flag not in reads]:
+        raise ValueError(f"{what} does not read --{unread[0]}")
+    return given
+
+
 # what bounds.SCENARIO_INPUTS reads -> the bound flag that gives it
 _BOUND_FLAGS = {"avg": "dbar", "max": "dmax", "q": "q", "m_s": "ms", "s": "servers"}
 
@@ -98,9 +108,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         name += "-avg" if args.dmax is None else "-max"
     scenario = Scenario("partial-consistent" if name == "partial" else name)
     reads = {_BOUND_FLAGS.get(given) for given in SCENARIO_INPUTS[scenario]}
-    for flag in _BOUND_FLAGS.values():
-        if getattr(args, flag) is not None and flag not in reads:
-            raise ValueError(f"scenario {scenario.value} does not read --{flag}")
+    _given_flags(f"scenario {scenario.value}", args, tuple(_BOUND_FLAGS.values()), reads)
     result = bound(scenario, m=args.m, n=args.n, d=d, q=args.q, m_s=args.ms, s=args.servers)
     print(json.dumps(result.as_json_dict(), indent=1))
     return 0
@@ -139,84 +147,73 @@ def cmd_check(args: argparse.Namespace) -> int:
     return CHECK_VIOLATIONS if violations else 0
 
 
-# kind -> (generator over the parsed arguments, the flag it requires besides --m)
+def _files(inst: ConstructedInstance) -> tuple:
+    """What construct writes: graph, paths, node labels, the phi1 the self-check expects, the sidecar."""
+    sidecar = {"meta": inst.meta, "encodings": dict(enumerate(inst.encoding_strings()))}
+    return inst.graph, inst.paths, inst.labels, inst.meta["bound"], sidecar
+
+
+def _fat_tree_files(k: int) -> tuple:
+    """The same for the fat-tree over all host pairs; its sidecar gives node addresses and roles."""
+    ft = fat_tree(k)
+    paths = fat_tree_all_pair_paths(ft)
+    phi1 = one_identifiable_set(testing_matrix(paths, ft.graph.node_count))[0]
+    return ft.graph, paths, ft.address_of, phi1, {
+        "meta": {"kind": "fat-tree", "k": k, "nodes": ft.graph.node_count, "phi1": phi1},
+        "addresses": dict(enumerate(ft.address_of)),
+        "roles": {role: getattr(ft, role) for role in ("core", "aggregation", "edge", "hosts")},
+    }
+
+
+# kind -> (what construct writes, built from the flags it reads; each such flag's default, None if required)
 _GENERATORS = {
-    "ica": (lambda args: ica(args.m, args.dbar), "dbar"),
-    "half-grid": (lambda args: half_grid(args.m), None),
-    "monitoring-tree": (lambda args: monitoring_tree(args.m, args.dmax), "dmax"),
+    "ica": (lambda m, dbar: _files(ica(m, dbar)), {"m": 4, "dbar": None}),
+    "half-grid": (lambda m: _files(half_grid(m)), {"m": 4}),
+    "monitoring-tree": (lambda m, dmax: _files(monitoring_tree(m, dmax)), {"m": 4, "dmax": None}),
+    "fat-tree": (_fat_tree_files, {"k": 4}),
 }
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    if args.kind in _GENERATORS:
-        generate, flag = _GENERATORS[args.kind]
-        if flag is not None and getattr(args, flag) is None:
+    build, reads = _GENERATORS[args.kind]
+    flags = {**reads, **_given_flags(f"construct {args.kind}", args, ("m", "dbar", "dmax", "k"), reads)}
+    for flag, value in flags.items():
+        if value is None:
             raise ValueError(f"construct {args.kind} requires --{flag}")
-        inst = generate(args)
-        graph, paths, labels = inst.graph, inst.paths, inst.labels
-        expected_phi1 = int(inst.meta["bound"])  # type: ignore[arg-type]
-        sidecar: dict = {
-            "meta": {k: (list(v) if isinstance(v, tuple) else v) for k, v in inst.meta.items()},
-            "encodings": {str(i): s for i, s in enumerate(inst.encoding_strings())},
-        }
-    else:  # fat-tree: emit the all-host-pair routed instance
-        ft = fat_tree(args.k)
-        graph, labels = ft.graph, ft.address_of
-        paths = fat_tree_all_pair_paths(ft)
-        t = testing_matrix(paths, graph.node_count)
-        expected_phi1 = one_identifiable_set(t)[0]
-        sidecar = {
-            "meta": {"kind": "fat-tree", "k": args.k, "nodes": graph.node_count, "phi1": expected_phi1},
-            "addresses": {str(i): a for i, a in enumerate(ft.address_of)},
-            "roles": {
-                "core": list(ft.core),
-                "aggregation": list(ft.aggregation),
-                "edge": list(ft.edge),
-                "hosts": list(ft.hosts),
-            },
-        }
+    graph, paths, labels, expected_phi1, sidecar = build(**flags)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = args.kind.replace("-", "_")
-    graph_file = out / f"{stem}.edges"
-    paths_file = out / f"{stem}.paths"
-    save_graph(graph, graph_file, labels)
-    save_paths(paths, paths_file)
-    (out / f"{stem}.json").write_text(json.dumps(sidecar, indent=1) + "\n", encoding="utf-8")
+    stem = Path(args.out) / args.kind.replace("-", "_")
+    stem.parent.mkdir(parents=True, exist_ok=True)
+    save_graph(graph, stem.with_suffix(".edges"), labels)
+    save_paths(paths, stem.with_suffix(".paths"))
+    stem.with_suffix(".json").write_text(json.dumps(sidecar, indent=1) + "\n", encoding="utf-8")
 
     # self-check: re-ingest the emitted files and re-verify identifiability
-    graph2 = load_graph(graph_file)
-    paths2 = load_paths(paths_file)
+    graph2 = load_graph(stem.with_suffix(".edges"))
+    paths2 = load_paths(stem.with_suffix(".paths"))
     if validate_path_set(graph2, paths2):
         raise ConstructionError("self-check failed: emitted paths do not fit the emitted graph")
-    t = testing_matrix(paths2, graph2.node_count)
-    phi1 = one_identifiable_set(t)[0]
+    phi1 = one_identifiable_set(testing_matrix(paths2, graph2.node_count))[0]
     if phi1 != expected_phi1:
         raise ConstructionError(f"self-check failed: phi1={phi1}, expected {expected_phi1}")
-    print(
-        json.dumps(
-            {"written": str(out), "nodes": graph2.node_count, "paths": paths2.m, "phi1": phi1}
-        )
-    )
+    summary = {"written": str(stem.parent), "nodes": graph2.node_count, "paths": paths2.m, "phi1": phi1}
+    print(json.dumps(summary))
     return 0
 
 
+# experiment flag -> the ExperimentSpec field it sets
+_SPEC_FIELDS = dict(
+    m="m_values", d="d_values", scenario="scenarios", q="q_values", n="n", trials="trials", seed="seed",
+    topology="topology", dmax="d_max", server="server", k="k", pairs="pairs_file",
+)
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
+    reads = {flag for flag, field in _SPEC_FIELDS.items() if field in ("seed", *EXPERIMENTS[args.name][1])}
+    given = _given_flags(f"experiment {args.name}", args, tuple(_SPEC_FIELDS), reads)
+    # --scenario collects a list, and the spec holds a tuple
     spec = ExperimentSpec(
-        name=args.name,
-        m_values=args.m or (),
-        d_values=tuple(args.d or ()),
-        scenarios=tuple(args.scenario or ()),
-        q_values=args.q or (),
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        topology=args.topology,
-        d_max=args.dmax,
-        server=args.server,
-        k=args.k,
-        pairs_file=args.pairs,
+        args.name, **{_SPEC_FIELDS[f]: tuple(v) if f == "scenario" else v for f, v in given.items()}
     )
     table = run_experiment(spec)
     csv_text = table.to_csv()
@@ -261,11 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_check)
 
     g = sub.add_parser("construct", help="generate a bound-achieving instance")
-    g.add_argument("kind", choices=[*_GENERATORS, "fat-tree"])
-    g.add_argument("--m", type=int, default=4)
+    g.add_argument("kind", choices=_GENERATORS)
+    g.add_argument("--m", type=int)
     g.add_argument("--dbar", type=_fraction)
     g.add_argument("--dmax", type=int)
-    g.add_argument("--k", type=int, default=4, help="fat-tree arity")
+    g.add_argument("--k", type=int, help="fat-tree arity")
     g.add_argument("--out", default="out", help="output directory")
     g.set_defaults(func=cmd_construct)
 
@@ -277,12 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--scenario", action="append", help="repeatable scenario tag")
     e.add_argument("--q", type=_int_range, help="q values for partial consistency")
     e.add_argument("--n", type=int, help="node budget for bound sweeps")
-    e.add_argument("--trials", type=int, default=1)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--trials", type=int)
+    e.add_argument("--seed", type=int)
     e.add_argument("--topology", help="edge-list file or bundled name (default isp108)")
     e.add_argument("--dmax", type=int, help="maximum path length (radius filter / bound input)")
     e.add_argument("--server", type=int, help="fix the server node")
-    e.add_argument("--k", type=int, default=4, help="fat-tree arity")
+    e.add_argument("--k", type=int, help="fat-tree arity")
     e.add_argument("--pairs", help="JSON file with fat-tree host pairs")
     e.add_argument("--out", help="CSV output file (stdout when omitted)")
     e.add_argument("--json-out", help="also write a JSON copy")

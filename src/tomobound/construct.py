@@ -23,6 +23,7 @@ from .routing import walk_to_root
 
 _ENUMERATION_GUARD = 2_000_000  # candidates tried over a whole top-layer search
 _PAIR_GUARD = 1 << 20  # host pairs fat_tree_all_pair_paths routes; k=16 has 523,776
+_SIZE_GUARD = 1 << 21  # path nodes in all of an ica, half_grid or monitoring_tree instance
 
 
 class ConstructionError(RuntimeError):
@@ -254,6 +255,12 @@ def _arrange_top_layer(
         picked.append(subset)
 
 
+def _check_size(what: str, nodes: int) -> None:
+    """Refuse, before any work, an instance whose paths hold more than _SIZE_GUARD nodes in all."""
+    if nodes > _SIZE_GUARD:
+        raise ValueError(f"{what} has {nodes} path nodes, more than {_SIZE_GUARD} to build")
+
+
 def _instance(
     seqs: Sequence[Sequence[int]],
     meta: Mapping[str, object],
@@ -284,6 +291,7 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
     dbar = Fraction(dbar)
     if dbar < 1:
         raise ValueError("average path length must be >= 1")
+    _check_size(f"ica m={m} dbar={dbar}", int(m * dbar))
     if dbar > (1 << (m - 1)):
         raise ValueError(
             f"average length {dbar} > 2^(m-1) = {1 << (m - 1)}: "
@@ -370,6 +378,7 @@ def half_grid(m: int) -> ConstructedInstance:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_size(f"half-grid m={m}", m * m)
     ids = _half_grid_ids(m)
     seqs = []
     for i in range(m):
@@ -415,8 +424,10 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
     plus one smaller full subtree for the leftover leaves.
     """
     expected = bound_single_server(m, None, d_max).bound
+    depth = (m - 1).bit_length() + 1  # of a minimum-depth full binary tree with m leaves
+    cap_ok = d_max >= depth
+    _check_size(f"monitoring-tree m={m} d_max={d_max}", m * min(d_max, depth))
     parent: list[int] = [0]  # node 0 is the root, its own parent
-    cap_ok = d_max >= (m - 1).bit_length() + 1
     if cap_ok:
         leaves = _grow_full_binary(parent, 0, m)
     else:

@@ -100,18 +100,21 @@ def _load_topology(spec: ExperimentSpec) -> Graph:
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    rows = EXPERIMENTS[spec.name](spec)
+    rows = EXPERIMENTS[spec.name][0](spec)
     return ResultTable(name=spec.name, seed=spec.seed, rows=tuple(rows))
 
 
 def _bound_sweep(spec: ExperimentSpec) -> list[tuple]:
     if not spec.m_values or not spec.d_values or not spec.scenarios:
         raise ValueError("bound_sweep needs m_values, d_values and scenarios")
+    reads_q = [SCENARIO_INPUTS[Scenario(sc)][1] == "q" for sc in spec.scenarios]
+    if spec.q_values and not any(reads_q):
+        raise ValueError(f"no swept scenario reads q: {', '.join(spec.scenarios)}")
     rows = []
     for d in spec.d_values:
         for m in spec.m_values:
-            for sc in spec.scenarios:
-                if SCENARIO_INPUTS[Scenario(sc)][1] == "q":
+            for sc, q_read in zip(spec.scenarios, reads_q):
+                if q_read:
                     for q in spec.q_values or (1,):
                         r = bound(sc, m, spec.n, d=d, q=q)
                         rows.append((m, d, f"{sc}(q={q})", "bound", r.bound))
@@ -233,10 +236,10 @@ def _tightness(spec: ExperimentSpec) -> list[tuple]:
     return rows
 
 
-# experiment name -> the runner that makes its rows, in the order the CLI lists them
+# name -> (the runner that makes its rows, the spec fields it reads besides name and seed), in CLI order
 EXPERIMENTS = {
-    "bound_sweep": _bound_sweep,
-    "random_placement": _random_placement,
-    "fat_tree_id": _fat_tree_id,
-    "tightness": _tightness,
+    "bound_sweep": (_bound_sweep, ("m_values", "d_values", "scenarios", "q_values", "n")),
+    "random_placement": (_random_placement, ("m_values", "trials", "topology", "d_max", "server")),
+    "fat_tree_id": (_fat_tree_id, ("k", "pairs_file")),
+    "tightness": (_tightness, ("m_values", "d_values")),
 }

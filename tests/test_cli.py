@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tomobound
 from conftest import reference_check_consistency, reference_q_lower_bound
 from tomobound.bounds import Scenario
 from tomobound.cli import main
@@ -359,6 +363,75 @@ class TestConstructCommand:
         assert err == "error: fat-tree k=4 has 120 host pairs, more than 119 to route\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag", ["--m", "--dbar", "--dmax", "--k"])
+    @pytest.mark.parametrize("kind", ["ica", "half-grid", "monitoring-tree", "fat-tree"])
+    def test_each_kind_reads_only_its_flags(self, tmp_path, capsys, kind, flag):
+        # each kind's complete flag set, spelled out here rather than read from cli._GENERATORS;
+        # --k 4 is the default arity, so a flag given at its default value is refused too
+        complete = {"ica": ["--m", "--dbar"], "half-grid": ["--m"], "monitoring-tree": ["--m", "--dmax"],
+                    "fat-tree": ["--k"]}[kind]
+        value = {"--m": "5", "--dbar": "3", "--dmax": "3", "--k": "4"}
+        flags = complete if flag in complete else [*complete, flag]
+        out_dir = tmp_path / "out"
+        argv = [arg for f in flags for arg in (f, value[f])]
+        code, out, err = run_cli(capsys, "construct", kind, *argv, "--out", str(out_dir))
+        if flag in complete:
+            assert (code, err) == (0, "")
+            meta = json.loads((out_dir / f"{kind.replace('-', '_')}.json").read_text())["meta"]
+            key = {"--m": "m", "--dbar": "dbar", "--dmax": "d_max", "--k": "k"}[flag]
+            assert str(meta[key]) == value[flag]
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: construct {kind} does not read {flag}\n"
+            assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, what, nodes",
+        [
+            (["ica", "--m", "4", "--dbar", "3"], "ica m=4 dbar=3", 12),
+            (["half-grid", "--m", "4"], "half-grid m=4", 16),
+            # at most d_max = 3 nodes on each of the 7 paths
+            (["monitoring-tree", "--m", "7", "--dmax", "3"], "monitoring-tree m=7 d_max=3", 21),
+        ],
+        ids=["ica", "half-grid", "monitoring-tree"],
+    )
+    def test_size_guard(self, tmp_path, capsys, monkeypatch, argv, what, nodes):
+        # the guard lowered to just below the instance, then set to it
+        monkeypatch.setattr("tomobound.construct._SIZE_GUARD", nodes - 1)
+        code, out, err = run_cli(capsys, "construct", *argv, "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} has {nodes} path nodes, more than {nodes - 1} to build\n"
+        assert not (tmp_path / "out").exists()
+        monkeypatch.setattr("tomobound.construct._SIZE_GUARD", nodes)
+        assert run_cli(capsys, "construct", *argv, "--out", str(tmp_path / "out"))[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ica", "--m", "30", "--dbar", "100000"], "ica m=30 dbar=100000 has 3000000 path nodes"),
+            (["half-grid", "--m", "100000"], "half-grid m=100000 has 10000000000 path nodes"),
+            (
+                ["monitoring-tree", "--m", "100000000", "--dmax", "40"],
+                "monitoring-tree m=100000000 d_max=40 has 2800000000 path nodes",
+            ),
+        ],
+        ids=["ica", "half-grid", "monitoring-tree"],
+    )
+    def test_too_large_refused_before_any_work(self, tmp_path, argv, message):
+        # each ran out of memory under this 600 MB address-space limit before the guard; in a
+        # child process, the limit also keeps a broken guard from taking the machine's memory
+        resource = pytest.importorskip("resource")
+        limit = 600 * 2**20
+        run = subprocess.run(
+            [sys.executable, "-m", "tomobound.cli", "construct", *argv, "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(Path(tomobound.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == f"error: {message}, more than 2097152 to build\n"
+        assert not (tmp_path / "out").exists()
+
     def test_monitoring_tree(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "construct", "monitoring-tree", "--m", "7", "--dmax", "3", "--out", str(tmp_path)
@@ -412,6 +485,40 @@ class TestExperimentCommand:
         lines = out.splitlines()
         assert lines[0].startswith("# experiment=tightness seed=0")
         assert lines[1] == "m,d,scenario,metric,value"
+
+    @pytest.mark.parametrize("flag", ["--m", "--d", "--scenario", "--q", "--n", "--trials", "--seed",
+                                      "--topology", "--dmax", "--server", "--k", "--pairs"])
+    @pytest.mark.parametrize("name", ["bound_sweep", "random_placement", "fat_tree_id", "tightness"])
+    def test_each_experiment_reads_only_its_flags(self, tmp_path, capsys, name, flag):
+        # each experiment's complete flag sets, spelled out here rather than read from
+        # experiments.EXPERIMENTS; every experiment reads --seed
+        complete = {
+            "bound_sweep": ["--m --d --scenario", "--m --d --scenario --q --n --seed"],
+            "random_placement": ["--m", "--m --trials --seed --topology --dmax --server"],
+            "fat_tree_id": ["", "--k --pairs --seed"],
+            "tightness": ["--m --d", "--m --d --seed"],
+        }[name]
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text('{"pairs": [["10.0.0.2", "10.1.0.2"]]}')
+        # --trials 1 is the default; the files of --topology and --pairs exist only where they are read
+        value = {"--m": "2", "--d": "3", "--scenario": "partial-consistent", "--q": "2", "--n": "50",
+                 "--trials": "1", "--seed": "3", "--topology": "nope", "--dmax": "4", "--server": "3",
+                 "--k": "4", "--pairs": "missing.json"}
+        reading = [flags.split() for flags in complete if flag in flags.split()]
+        flags = reading[0] if reading else [*complete[0].split(), flag]
+        if reading:
+            value.update({"--topology": "isp108", "--pairs": str(pairs)})
+        target = tmp_path / "out.csv"
+        argv = [arg for f in flags for arg in (f, value[f])]
+        code, out, err = run_cli(capsys, "experiment", "--name", name, *argv, "--out", str(target))
+        if reading:
+            assert (code, err) == (0, "")
+            seed = value["--seed"] if "--seed" in flags else "0"
+            assert target.read_text().startswith(f"# experiment={name} seed={seed}\n")
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: experiment {name} does not read {flag}\n"
+            assert not target.exists()
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = [

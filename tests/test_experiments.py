@@ -55,6 +55,15 @@ class TestBoundSweep:
         assert gaps[5] <= gaps[15] <= gaps[25]
         assert gaps[25] > gaps[5]
 
+    def test_q_values_need_a_scenario_that_reads_q(self):
+        # as bound() refuses a q that its scenario does not read
+        spec = ExperimentSpec(
+            name="bound_sweep", m_values=(4,), d_values=(Fraction(5),),
+            scenarios=("single-server", "arbitrary-avg"), q_values=(2,),
+        )
+        with pytest.raises(ValueError, match="^no swept scenario reads q: single-server, arbitrary-avg$"):
+            run_experiment(spec)
+
     def test_requires_grid(self):
         with pytest.raises(ValueError):
             run_experiment(ExperimentSpec(name="bound_sweep"))
