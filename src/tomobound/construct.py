@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import record
 from .bounds import Rational, Scenario, bound, bound_single_server
-from .identifiability import encoding_string, testing_matrix
+from .identifiability import check_matrix_size, encoding_string, testing_matrix
 from .model import Graph, PathSet, build_graph
 from .routing import walk_to_root
 
@@ -255,10 +255,13 @@ def _arrange_top_layer(
         picked.append(subset)
 
 
-def _check_size(what: str, nodes: int) -> None:
-    """Refuse, before any work, an instance whose paths hold more than _SIZE_GUARD nodes in all."""
+def _check_size(what: str, nodes: int, m: int = 0, n: int = 0) -> None:
+    """Refuse, before any work, an instance whose paths hold more than
+    _SIZE_GUARD nodes in all, or whose testing matrix of m paths over n nodes
+    is too large to build."""
     if nodes > _SIZE_GUARD:
         raise ValueError(f"{what} has {nodes} path nodes, more than {_SIZE_GUARD} to build")
+    check_matrix_size(m, n)
 
 
 def _instance(
@@ -378,7 +381,7 @@ def half_grid(m: int) -> ConstructedInstance:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_size(f"half-grid m={m}", m * m)
+    _check_size(f"half-grid m={m}", m * m, m, m * (m + 1) // 2)
     ids = _half_grid_ids(m)
     seqs = []
     for i in range(m):
@@ -426,7 +429,7 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
     expected = bound_single_server(m, None, d_max).bound
     depth = (m - 1).bit_length() + 1  # of a minimum-depth full binary tree with m leaves
     cap_ok = d_max >= depth
-    _check_size(f"monitoring-tree m={m} d_max={d_max}", m * min(d_max, depth))
+    _check_size(f"monitoring-tree m={m} d_max={d_max}", m * min(d_max, depth), m, expected)
     parent: list[int] = [0]  # node 0 is the root, its own parent
     if cap_ok:
         leaves = _grow_full_binary(parent, 0, m)

@@ -104,10 +104,21 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     return ResultTable(name=spec.name, seed=spec.seed, rows=tuple(rows))
 
 
+# what a scenario's bound reads beyond m, n and d that no experiment flag gives
+_UNSWEPT = {"m_s": "the per-server client counts m_s", "s": "the server count S"}
+
+
 def _bound_sweep(spec: ExperimentSpec) -> list[tuple]:
     if not spec.m_values or not spec.d_values or not spec.scenarios:
         raise ValueError("bound_sweep needs m_values, d_values and scenarios")
-    reads_q = [SCENARIO_INPUTS[Scenario(sc)][1] == "q" for sc in spec.scenarios]
+    extras = [SCENARIO_INPUTS[Scenario(sc)][1] for sc in spec.scenarios]
+    for sc, extra in zip(spec.scenarios, extras):
+        if extra in _UNSWEPT:
+            raise ValueError(
+                f"bound_sweep cannot sweep {sc}: it needs {_UNSWEPT[extra]}, which no experiment "
+                "flag gives; evaluate it with the bound command"
+            )
+    reads_q = [extra == "q" for extra in extras]
     if spec.q_values and not any(reads_q):
         raise ValueError(f"no swept scenario reads q: {', '.join(spec.scenarios)}")
     rows = []
@@ -143,7 +154,7 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
     rng = random.Random(spec.seed)
     degree = [len(row) for row in g.neighbours]
     dangling = [u for u in range(g.node_count) if degree[u] == 1]
-    eligible_base = dangling if dangling else list(range(g.node_count))
+    eligible_base = set(dangling or range(g.node_count))
     servers = [u for u in range(g.node_count) if degree[u] > 1] or list(range(g.node_count))
     d_label = spec.d_max if spec.d_max is not None else ""
     rows = []
@@ -156,7 +167,8 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
         for _ in range(spec.trials):
             server = spec.server if spec.server is not None else rng.choice(servers)
             parent = shortest_path_tree(g, server, None if spec.d_max is None else spec.d_max - 1)
-            eligible = [u for u in eligible_base if u != server and u in parent]
+            eligible = eligible_base.intersection(parent)
+            eligible.discard(server)
             if len(eligible) < m:
                 skipped += 1
                 continue

@@ -45,7 +45,7 @@ class Graph:
 
     @cached_property
     def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node u, the sorted pairs ``(v, rank)`` of its edges, rank being
+        """Per node u, the pairs ``(v, rank)`` of its edges sorted by v, rank being
         the edge's position in sorted edge order. A tree search forms the
         edge's bit ``1 << rank`` where it needs it, so the table stays O(|E|)
         words; an isolated node's row is ``()``. Built on first use and kept
@@ -61,7 +61,9 @@ class Graph:
         for rank, (u, v) in enumerate(ranked):
             rows[u].append((v, rank))
             rows[v].append((u, rank))
-        return tuple(map(tuple, map(sorted, rows)))
+        # sorted by neighbour already: u's edges (w, u) with w < u come first
+        # in rank order, then its edges (u, w) with w > u, ranked by w
+        return tuple(map(tuple, rows))
 
 
 def build_graph(edge_list: Iterable[tuple[int, int]], node_count: int | None = None) -> Graph:
@@ -71,14 +73,13 @@ def build_graph(edge_list: Iterable[tuple[int, int]], node_count: int | None = N
     overridden upward. Self-loops are rejected with the offending pair.
     """
     edges = set()
-    max_id = -1
     for u, v in edge_list:
         if u < 0 or v < 0:
             raise ValueError(f"negative node id in pair ({u}, {v})")
         if u == v:
             raise ValueError(f"self-loop rejected: ({u}, {v})")
-        edges.add(_norm_edge(u, v))
-        max_id = max(max_id, u, v)
+        edges.add((u, v) if u < v else (v, u))
+    max_id = max((v for _, v in edges), default=-1)
     n = max_id + 1
     if node_count is not None:
         if node_count < n:

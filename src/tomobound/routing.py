@@ -161,9 +161,11 @@ def shortest_path_tree(g: Graph, src: int, max_hops: int | None = None) -> dict[
     layers, each node keeping its tree path's edge bitmask, and a node v first
     reached in layer d takes the layer d-1 neighbour u with the smallest
     ``mask(u) | 1 << rank(u, v)``, the bit formed from the rank that
-    ``Graph.neighbours`` stores. The map lists every node reachable from
-    ``src`` (within ``max_hops`` hops) after its parent, with ``src`` first as
-    its own parent; a cut map is the full one restricted to those nodes.
+    ``Graph.neighbours`` stores. Depths and masks live in node-indexed lists,
+    and a node's mask is dropped once the node is expanded. The map lists
+    every node reachable from ``src`` (within ``max_hops`` hops) after its
+    parent, with ``src`` first as its own parent; a cut map is the full one
+    restricted to those nodes.
     """
     if not 0 <= src < g.node_count:
         raise ValueError(f"node {src} out of range")
@@ -173,19 +175,25 @@ def shortest_path_tree(g: Graph, src: int, max_hops: int | None = None) -> dict[
     parent: dict[int, int] = {src: src}
     depth = [g.node_count] * g.node_count  # hop layer once reached; above every layer till then
     depth[src] = hops = 0
-    layer: dict[int, int] = {src: 0}  # node -> edge mask of its tree path
+    key = [0] * g.node_count  # edge mask of the tree path, kept from reach until expansion
+    layer = [src]
     while layer and hops != max_hops:
         hops += 1
-        nxt: dict[int, int] = {}
-        for u, mask in layer.items():
+        nxt: list[int] = []
+        for u in layer:
+            mask, key[u] = key[u], 0
             for v, rank in neighbours[u]:
                 d = depth[v]
                 if d < hops:
                     continue
-                key = mask | 1 << rank
-                if d > hops or key < nxt[v]:
+                k = mask | 1 << rank
+                if d > hops:
                     depth[v] = hops
-                    nxt[v] = key
+                    key[v] = k
+                    parent[v] = u
+                    nxt.append(v)
+                elif k < key[v]:
+                    key[v] = k
                     parent[v] = u
         layer = nxt
     return parent

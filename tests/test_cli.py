@@ -432,6 +432,37 @@ class TestConstructCommand:
         assert run.stderr == f"error: {message}, more than 2097152 to build\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["monitoring-tree", "--m", "110000", "--dmax", "40"],
+                "a testing matrix of 110000 paths over 219999 nodes takes 3024986250 bytes, "
+                "more than 134217728",
+            ),
+            (
+                ["half-grid", "--m", "1448"],
+                "a testing matrix of 1448 paths over 1049076 nodes takes 189882756 bytes, "
+                "more than 134217728",
+            ),
+        ],
+        ids=["monitoring-tree", "half-grid"],
+    )
+    def test_too_large_matrix_refused_before_any_work(self, tmp_path, argv, message):
+        # each passed the path-node guard and then ran out of memory under this limit, in
+        # testing_matrix and in build_graph
+        resource = pytest.importorskip("resource")
+        limit = 600 * 2**20
+        run = subprocess.run(
+            [sys.executable, "-m", "tomobound.cli", "construct", *argv, "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(Path(tomobound.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_monitoring_tree(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "construct", "monitoring-tree", "--m", "7", "--dmax", "3", "--out", str(tmp_path)
@@ -560,6 +591,23 @@ class TestExperimentCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: a neighbour table over n={count} nodes does not fit in memory\n"
+
+    @pytest.mark.parametrize(
+        "scenario, needs",
+        [("multi-fixed", "the per-server client counts m_s"), ("multi-flexible", "the server count S")],
+    )
+    def test_bound_sweep_refuses_server_scenarios(self, tmp_path, capsys, scenario, needs):
+        # no experiment flag gives what these bounds read besides m, n and d
+        code, out, err = run_cli(
+            capsys, "experiment", "--name", "bound_sweep", "--m", "4", "--d", "5",
+            "--scenario", "arbitrary-avg", "--scenario", scenario, "--out", str(tmp_path / "t.csv"),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bound_sweep cannot sweep {scenario}: it needs {needs}, which no experiment "
+            "flag gives; evaluate it with the bound command\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
 
     def test_m_below_one_rejected(self, capsys):
         code, out, err = run_cli(

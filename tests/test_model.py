@@ -53,6 +53,21 @@ class TestBuildGraph:
         g = build_graph([(2, 0), (0, 1)])
         assert [v for v, _ in g.neighbours[0]] == [1, 2]
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(lambda e: e[0] != e[1]),
+            max_size=60,
+        ),
+        st.integers(0, 5),
+    )
+    def test_neighbour_rows_sorted_by_neighbour(self, pairs, extra):
+        # the table is built unsorted, in edge-rank order, and must still come out sorted
+        g = build_graph(pairs, node_count=1 + max(map(max, pairs), default=-1) + extra)
+        ranked = sorted(g.edges)
+        for u, row in enumerate(g.neighbours):
+            assert [v for v, _ in row] == sorted(adjacency(g)[u])
+            assert all(ranked[rank] == (min(u, v), max(u, v)) for v, rank in row)
+
     def test_isolated_nodes_have_empty_neighbour_rows(self):
         g = build_graph([(3, 1)], node_count=5)
         assert g.neighbours == ((), ((3, 0),), (), ((1, 0),), ())
