@@ -17,7 +17,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import record
 from .bounds import Rational, Scenario, bound, bound_single_server
-from .identifiability import check_matrix_size, encoding_string, testing_matrix
+from .identifiability import (
+    MATRIX_BYTES_GUARD,
+    check_matrix_size,
+    encoding_string,
+    one_identifiable_set,
+    testing_matrix,
+)
 from .model import Graph, PathSet, build_graph
 from .routing import walk_to_root
 
@@ -257,11 +263,14 @@ def _arrange_top_layer(
 
 def _check_size(what: str, nodes: int, m: int = 0, n: int = 0) -> None:
     """Refuse, before any work, an instance whose paths hold more than
-    _SIZE_GUARD nodes in all, or whose testing matrix of m paths over n nodes
-    is too large to build."""
+    _SIZE_GUARD nodes in all, whose testing matrix of m paths over n nodes is
+    too large to build, or whose n encodings of m characters each, as the
+    sidecar writes them, come to more than MATRIX_BYTES_GUARD characters."""
     if nodes > _SIZE_GUARD:
         raise ValueError(f"{what} has {nodes} path nodes, more than {_SIZE_GUARD} to build")
     check_matrix_size(m, n)
+    if n * m > MATRIX_BYTES_GUARD:
+        raise ValueError(f"{what} has {n} encodings of {m} characters, {n * m} in all, more than {MATRIX_BYTES_GUARD}")
 
 
 def _instance(
@@ -270,12 +279,16 @@ def _instance(
     labels: tuple[str, ...] = (),
 ) -> ConstructedInstance:
     """Instance over the given node sequences: the graph links consecutive path
-    nodes, and each node's encoding is its testing-matrix column."""
+    nodes, and each node's encoding is its testing-matrix column. A
+    ConstructionError is raised unless the instance identifies exactly
+    ``meta["bound"]`` nodes, the bound its generator meets."""
     path_set = PathSet.from_sequences(seqs)
     n = path_set.max_node_id() + 1
     steps = [step for p in path_set.paths for step in zip(p, p[1:])]
     graph = build_graph(steps, node_count=n)
     encodings = testing_matrix(path_set, n)
+    if (phi1 := one_identifiable_set(encodings)[0]) != meta["bound"]:
+        raise ConstructionError(f"{meta['kind']} identifies {phi1} nodes, its bound is {meta['bound']}")
     return ConstructedInstance(
         graph=graph, paths=path_set, encodings=encodings, meta=meta, labels=labels
     )
@@ -294,7 +307,8 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
     dbar = Fraction(dbar)
     if dbar < 1:
         raise ValueError("average path length must be >= 1")
-    _check_size(f"ica m={m} dbar={dbar}", int(m * dbar))
+    what, nodes = f"ica m={m} dbar={dbar}", int(m * dbar)
+    _check_size(what, nodes)
     if dbar > (1 << (m - 1)):
         raise ValueError(
             f"average length {dbar} > 2^(m-1) = {1 << (m - 1)}: "
@@ -303,6 +317,7 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
         )
     budget = bound(Scenario.ARBITRARY_AVG, m, None, dbar)
     nmax, imax, psi = budget.n_max, budget.i_max, budget.bound
+    _check_size(what, nodes, m, psi)  # the instance has psi nodes
 
     floor_d = int(dbar)
     m1 = int(m * (dbar - floor_d))
@@ -328,10 +343,6 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
     if list(loads) != lengths:
         raise ConstructionError(
             f"arrangement finished with per-path loads {loads}, wanted {lengths}"
-        )
-    if len(members) != psi:
-        raise ConstructionError(
-            f"arrangement produced {len(members)} encodings, bound value is {psi}"
         )
     meta: dict[str, object] = {
         "kind": "ica",
@@ -381,7 +392,10 @@ def half_grid(m: int) -> ConstructedInstance:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_size(f"half-grid m={m}", m * m, m, m * (m + 1) // 2)
+    # the consistent-routing bound with every path of length m, which is
+    # m(m+1)/2; its theorem needs m >= 2, and one path over one node identifies it
+    expected = bound(Scenario.CONSISTENT_AVG, m, None, d=m).bound if m > 1 else 1
+    _check_size(f"half-grid m={m}", m * m, m, expected)
     ids = _half_grid_ids(m)
     seqs = []
     for i in range(m):
@@ -393,7 +407,7 @@ def half_grid(m: int) -> ConstructedInstance:
         seqs.append(seq)
     # ids hands out node ids in insertion order
     labels = tuple(f"p{i + 1}" if i == j else f"p{i + 1}*p{j + 1}" for i, j in ids)
-    meta = {"kind": "half-grid", "m": m, "dbar": str(m), "bound": m * (m + 1) // 2}
+    meta = {"kind": "half-grid", "m": m, "dbar": str(m), "bound": expected}
     return _instance(seqs, meta, labels)
 
 
@@ -440,9 +454,6 @@ def monitoring_tree(m: int, d_max: int) -> ConstructedInstance:
             sub = len(parent)
             parent.append(0)
             leaves.extend(_grow_full_binary(parent, sub, min(width, m - first)))
-    n = len(parent)
-    if n != expected:
-        raise ConstructionError(f"tree has {n} nodes, single-server bound is {expected}")
     meta = {"kind": "monitoring-tree", "m": m, "d_max": d_max, "bound": expected}
     return _instance([walk_to_root(parent, leaf) for leaf in leaves], meta)
 

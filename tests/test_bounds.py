@@ -20,7 +20,8 @@ from tomobound.bounds import (
     z_fb,
 )
 from tomobound.identifiability import one_identifiable_set, testing_matrix
-from tomobound.model import PathSet
+from tomobound.model import PathSet, build_graph
+from tomobound.routing import consistent_shortest_paths, shortest_path_tree, walk_to_root
 
 
 def i_max_by_scan(m: int, nmax: int) -> int:
@@ -468,3 +469,114 @@ def test_partial_between_cr_and_ar(m, d, q):
     pq = bound("partial-consistent", m, None, d, q=q).bound
     assert bound("consistent-avg", m, None, d).bound <= pq
     assert pq <= bound("arbitrary-avg", m, None, d).bound
+
+
+# ---------------------------------------------------------------------------
+# The bounds hold on instances the package did not build: phi1 never exceeds
+# any bound whose scenario the instance meets.
+# ---------------------------------------------------------------------------
+
+
+def phi1(ps: PathSet, n: int) -> int:
+    return one_identifiable_set(testing_matrix(ps, n))[0]
+
+
+def arbitrary_bounds(ps: PathSet) -> dict[str, int]:
+    """The bounds that hold under any routing, at the path set's exact average
+    and maximum length (in nodes), and with no length at all; none is capped
+    by the node count, which phi1 cannot exceed anyway."""
+    m, lengths = ps.m, ps.lengths()
+    return {
+        "arbitrary-avg": bound("arbitrary-avg", m, None, Fraction(sum(lengths), m)).bound,
+        "arbitrary-max": bound("arbitrary-max", m, None, max(lengths)).bound,
+        "arbitrary-unbounded": bound("arbitrary-unbounded", m, None).bound,
+    }
+
+
+def consistent_bounds(ps: PathSet) -> dict[str, int]:
+    """The arbitrary bounds, and those that need consistent routing (m >= 2),
+    which also makes the routing 1/q-consistent for every q."""
+    m, lengths = ps.m, ps.lengths()
+    avg = Fraction(sum(lengths), m)
+    return {
+        **arbitrary_bounds(ps),
+        "consistent-avg": bound("consistent-avg", m, None, avg).bound,
+        "consistent-max": bound("consistent-max", m, None, max(lengths)).bound,
+        **{f"partial q={q}": bound("partial-consistent", m, None, avg, q=q).bound for q in (1, 2)},
+    }
+
+
+@st.composite
+def connected_graphs(draw, max_nodes: int = 12):
+    """A random spanning tree over 2..max_nodes nodes plus random chords, so
+    that equal-hop routes tie."""
+    n = draw(st.integers(2, max_nodes))
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return build_graph(tree + draw(st.lists(pairs, max_size=2 * n)), node_count=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_consistent_shortest_paths_within_bounds(data):
+    g = data.draw(connected_graphs())
+    node = st.integers(0, g.node_count - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), min_size=2, max_size=8))
+    ps = consistent_shortest_paths(g, pairs)
+    found = phi1(ps, g.node_count)
+    for name, value in consistent_bounds(ps).items():
+        assert found <= value, (name, pairs, ps.paths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_spt_client_tree_within_single_server_bound(data):
+    g = data.draw(connected_graphs(16))
+    server = data.draw(st.integers(0, g.node_count - 1))
+    others = [u for u in range(g.node_count) if u != server]
+    clients = data.draw(st.lists(st.sampled_from(others), min_size=1, max_size=15, unique=True))
+    parent = shortest_path_tree(g, server)
+    ps = PathSet.from_sequences(walk_to_root(parent, c) for c in clients)
+    found = phi1(ps, g.node_count)
+    # the client paths form a tree, so every routing bound applies, and so does
+    # the single-server bound at the longest path
+    assert found <= bound_single_server(ps.m, None, max(ps.lengths())).bound, ps.paths
+    if ps.m >= 2:
+        for name, value in consistent_bounds(ps).items():
+            assert found <= value, (name, ps.paths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_random_node_sequences_within_arbitrary_bounds(data):
+    # any sequences at all, nodes repeated within a path included
+    n = data.draw(st.integers(1, 12))
+    path = st.lists(st.integers(0, n - 1), min_size=1, max_size=10)
+    ps = PathSet.from_sequences(data.draw(st.lists(path, min_size=1, max_size=7)))
+    found = phi1(ps, n)
+    for name, value in arbitrary_bounds(ps).items():
+        assert found <= value, (name, ps.paths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_server_forest_within_multi_server_bounds(data):
+    # each server routes its clients over its own shortest-path tree, and the
+    # paths are grouped by server as the per-server client counts say
+    g = data.draw(connected_graphs())
+    nodes = range(g.node_count)
+    servers = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=3, unique=True))
+    pairs, m_s = [], []
+    for server in servers:
+        others = [u for u in nodes if u != server]
+        clients = data.draw(st.lists(st.sampled_from(others), min_size=1, max_size=4, unique=True))
+        pairs += [(server, c) for c in clients]
+        m_s.append(len(clients))
+    ps = consistent_shortest_paths(g, pairs)
+    found = phi1(ps, g.node_count)
+    avg = Fraction(sum(ps.lengths()), ps.m)
+    assert found <= bound("multi-fixed", ps.m, None, avg, m_s=m_s).bound, (m_s, ps.paths)
+    assert found <= bound("multi-flexible", ps.m, None, avg, s=len(servers)).bound, ps.paths
+    if ps.m >= 2:
+        for name, value in consistent_bounds(ps).items():
+            assert found <= value, (name, ps.paths)

@@ -10,6 +10,8 @@ import tomobound
 from conftest import reference_check_consistency, reference_q_lower_bound
 from tomobound.bounds import Scenario
 from tomobound.cli import main
+from tomobound.identifiability import testing_matrix
+from tomobound.model import Graph, PathSet, format_edge_list, format_path_file
 
 
 def run_cli(capsys, *argv):
@@ -355,6 +357,50 @@ class TestConstructCommand:
         sidecar = json.loads((tmp_path / "fat_tree.json").read_text())
         assert len(sidecar["addresses"]) == 36
 
+    def test_fat_tree_builds_one_testing_matrix(self, tmp_path, capsys, monkeypatch):
+        # the self-check reads the files back and compares them with the built
+        # instance; it builds no second testing matrix to count phi1 again
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return testing_matrix(*args)
+
+        for module in ("tomobound.cli", "tomobound.construct"):
+            monkeypatch.setattr(f"{module}.testing_matrix", counting)
+        code, out, _ = run_cli(capsys, "construct", "fat-tree", "--k", "4", "--out", str(tmp_path))
+        assert (code, json.loads(out)["phi1"]) == (0, 36)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ica", "--m", "4", "--dbar", "3"], ["half-grid", "--m", "4"], ["fat-tree", "--k", "4"]],
+        ids=["ica", "half-grid", "fat-tree"],
+    )
+    def test_self_check_refuses_reordered_paths(self, tmp_path, capsys, monkeypatch, argv):
+        # the path file written with its first two paths swapped: it fits the
+        # graph and its phi1 is the same, but it is not the path set that was built
+        def swapped(ps):
+            first, second, *rest = ps.paths
+            return format_path_file(PathSet((second, first, *rest)))
+
+        monkeypatch.setattr("tomobound.model.format_path_file", swapped)
+        code, out, err = run_cli(capsys, "construct", *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: self-check failed: emitted files do not read back as the built instance\n"
+
+    def test_self_check_refuses_another_node_count(self, tmp_path, capsys, monkeypatch):
+        # the edge list written with one isolated node more: the paths still fit
+        # it and identify as many nodes, but the graph is not the one that was built
+        def one_more_node(g, labels=()):
+            return format_edge_list(Graph(g.node_count + 1, g.edges), labels)
+
+        monkeypatch.setattr("tomobound.model.format_edge_list", one_more_node)
+        argv = ["monitoring-tree", "--m", "7", "--dmax", "3", "--out", str(tmp_path)]
+        code, out, err = run_cli(capsys, "construct", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: self-check failed: emitted files do not read back as the built instance\n"
+
     def test_fat_tree_too_many_pairs(self, tmp_path, capsys, monkeypatch):
         # the guard lowered below k=4's 120 host pairs, so that no run routes millions
         monkeypatch.setattr("tomobound.construct._PAIR_GUARD", 119)
@@ -408,17 +454,34 @@ class TestConstructCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["ica", "--m", "30", "--dbar", "100000"], "ica m=30 dbar=100000 has 3000000 path nodes"),
-            (["half-grid", "--m", "100000"], "half-grid m=100000 has 10000000000 path nodes"),
+            (
+                ["ica", "--m", "30", "--dbar", "100000"],
+                "ica m=30 dbar=100000 has 3000000 path nodes, more than 2097152 to build",
+            ),
+            (
+                ["half-grid", "--m", "100000"],
+                "half-grid m=100000 has 10000000000 path nodes, more than 2097152 to build",
+            ),
             (
                 ["monitoring-tree", "--m", "100000000", "--dmax", "40"],
-                "monitoring-tree m=100000000 d_max=40 has 2800000000 path nodes",
+                "monitoring-tree m=100000000 d_max=40 has 2800000000 path nodes, more than 2097152 to build",
+            ),
+            # these two pass the path-node and testing-matrix guards, and their sidecars
+            # would spell out n encodings of m characters each
+            (
+                ["monitoring-tree", "--m", "20000", "--dmax", "40"],
+                "monitoring-tree m=20000 d_max=40 has 39999 encodings of 20000 characters, "
+                "799980000 in all, more than 134217728",
+            ),
+            (
+                ["half-grid", "--m", "900"],
+                "half-grid m=900 has 405450 encodings of 900 characters, 364905000 in all, more than 134217728",
             ),
         ],
-        ids=["ica", "half-grid", "monitoring-tree"],
+        ids=["ica", "half-grid", "monitoring-tree", "monitoring-tree-sidecar", "half-grid-sidecar"],
     )
     def test_too_large_refused_before_any_work(self, tmp_path, argv, message):
-        # each ran out of memory under this 600 MB address-space limit before the guard; in a
+        # each ran out of memory under this 600 MB address-space limit before its guard; in a
         # child process, the limit also keeps a broken guard from taking the machine's memory
         resource = pytest.importorskip("resource")
         limit = 600 * 2**20
@@ -429,7 +492,7 @@ class TestConstructCommand:
             capture_output=True, text=True, timeout=60,
         )
         assert (run.returncode, run.stdout) == (2, "")
-        assert run.stderr == f"error: {message}, more than 2097152 to build\n"
+        assert run.stderr == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import inspect
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations
@@ -329,6 +330,12 @@ class TestHalfGrid:
         for m in (2, 3, 4, 10, 12):
             assert check_consistency(half_grid(m).paths).consistent
 
+    def test_single_path_reads_no_bound(self):
+        # m = 1 is outside the consistent bound's theorem, where bound() warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert half_grid(1).meta["bound"] == phi1(half_grid(1)) == 1
+
     def test_matrix_reproduces_encodings(self):
         inst = half_grid(5)
         # the encodings are the testing matrix itself, a plain tuple of columns
@@ -515,6 +522,22 @@ class TestFatTree:
         assert sha256(edges.encode()).hexdigest() == edges_digest
         paths = format_path_file(fat_tree_all_pair_paths(ft))
         assert sha256(paths.encode()).hexdigest() == paths_digest
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ica(4, Fraction(17, 4)), lambda: half_grid(4), lambda: monitoring_tree(7, 3)],
+    ids=["ica(4, 17/4)", "half_grid(4)", "monitoring_tree(7, 3)"],
+)
+def test_instance_below_its_bound_refused(make, monkeypatch):
+    # a testing matrix with node 0's column cleared identifies one node fewer
+    # than the bound, and the generator refuses to return the instance
+    def cleared(ps, n):
+        return (0, *testing_matrix(ps, n)[1:])
+
+    expected = make().meta["bound"]
+    monkeypatch.setattr(tomobound.construct, "testing_matrix", cleared)
+    with pytest.raises(ConstructionError, match=rf" identifies {expected - 1} nodes, its bound is {expected}$"):
+        make()
 
 
 @pytest.mark.parametrize(
