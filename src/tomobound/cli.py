@@ -187,7 +187,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     stem.parent.mkdir(parents=True, exist_ok=True)
     save_graph(graph, stem.with_suffix(".edges"), labels)
     save_paths(paths, stem.with_suffix(".paths"))
-    stem.with_suffix(".json").write_text(json.dumps(sidecar, indent=1) + "\n", encoding="utf-8")
+    with stem.with_suffix(".json").open("w", encoding="utf-8") as f:
+        json.dump(sidecar, f, indent=1)  # chunk by chunk: the whole text can take several times the encodings
+        f.write("\n")
 
     # self-check: the emitted files read back as the built graph and paths, which fit it
     if (load_graph(stem.with_suffix(".edges")), load_paths(stem.with_suffix(".paths"))) != (graph, paths):

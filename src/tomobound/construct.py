@@ -17,13 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import record
 from .bounds import Rational, Scenario, bound, bound_single_server
-from .identifiability import (
-    MATRIX_BYTES_GUARD,
-    check_matrix_size,
-    encoding_string,
-    one_identifiable_set,
-    testing_matrix,
-)
+from .identifiability import MATRIX_BYTES_GUARD, encoding_string, one_identifiable_set, testing_matrix
 from .model import Graph, PathSet, build_graph
 from .routing import walk_to_root
 
@@ -263,12 +257,12 @@ def _arrange_top_layer(
 
 def _check_size(what: str, nodes: int, m: int = 0, n: int = 0) -> None:
     """Refuse, before any work, an instance whose paths hold more than
-    _SIZE_GUARD nodes in all, whose testing matrix of m paths over n nodes is
-    too large to build, or whose n encodings of m characters each, as the
-    sidecar writes them, come to more than MATRIX_BYTES_GUARD characters."""
+    _SIZE_GUARD nodes in all, or whose n encodings of m characters each, as
+    the sidecar writes them, come to more than MATRIX_BYTES_GUARD characters.
+    The second also bounds the testing matrix, whose n rows of ceil(m/8)
+    bytes take at most n*m bytes."""
     if nodes > _SIZE_GUARD:
         raise ValueError(f"{what} has {nodes} path nodes, more than {_SIZE_GUARD} to build")
-    check_matrix_size(m, n)
     if n * m > MATRIX_BYTES_GUARD:
         raise ValueError(f"{what} has {n} encodings of {m} characters, {n * m} in all, more than {MATRIX_BYTES_GUARD}")
 

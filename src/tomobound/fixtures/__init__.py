@@ -22,7 +22,7 @@ whose routed paths identify all 36 nodes.
 from __future__ import annotations
 
 import json
-from importlib import resources
+from pathlib import Path
 
 from ..model import Graph, PathSet, parse_edge_list, parse_path_file
 
@@ -31,7 +31,7 @@ GRAPHS_ONLY = ("isp108",)
 
 
 def _read(name: str) -> str:
-    return (resources.files(__package__) / name).read_text(encoding="utf-8")
+    return Path(__file__).with_name(name).read_text(encoding="utf-8")
 
 
 def load_graph(name: str) -> Graph:

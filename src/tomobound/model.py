@@ -30,18 +30,19 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        if self.node_count < 0:
-            raise ValueError("node_count must be nonnegative")
+        # the edges first, so that a negative id is named before the node
+        # count that build_graph derived from it
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"self-loop on node {u}")
+                raise ValueError(f"self-loop rejected: ({u}, {v})")
             if u > v:
                 raise ValueError(f"edge ({u}, {v}) is not normalized")
-            if not (0 <= u and v < self.node_count):
+            if u < 0:
+                raise ValueError(f"negative node id in pair ({u}, {v})")
+            if v >= self.node_count:
                 raise ValueError(f"edge ({u}, {v}) references a node >= node_count={self.node_count}")
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
+        if self.node_count < 0:
+            raise ValueError("node_count must be nonnegative")
 
     @cached_property
     def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -70,15 +71,10 @@ def build_graph(edge_list: Iterable[tuple[int, int]], node_count: int | None = N
     """Build a :class:`Graph` from node-id pairs, deduplicating undirected edges.
 
     ``node_count`` defaults to ``1 + max referenced id`` and may only be
-    overridden upward. Self-loops are rejected with the offending pair.
+    overridden upward. :class:`Graph` rejects self-loops and negative ids,
+    naming the normalised pair.
     """
-    edges = set()
-    for u, v in edge_list:
-        if u < 0 or v < 0:
-            raise ValueError(f"negative node id in pair ({u}, {v})")
-        if u == v:
-            raise ValueError(f"self-loop rejected: ({u}, {v})")
-        edges.add((u, v) if u < v else (v, u))
+    edges = {(u, v) if u < v else (v, u) for u, v in edge_list}
     max_id = max((v for _, v in edges), default=-1)
     n = max_id + 1
     if node_count is not None:
@@ -170,7 +166,7 @@ def validate_path_set(g: Graph, ps: PathSet, require_simple: bool = False) -> li
         for u, v in zip(p, p[1:]):
             if u >= g.node_count or v >= g.node_count:
                 continue
-            if not g.has_edge(u, v):
+            if _norm_edge(u, v) not in g.edges:
                 out.append(PathViolation(i, "non-adjacent-step", (u, v)))
         if require_simple and len(set(p)) != len(p):
             seen: set[int] = set()

@@ -466,8 +466,18 @@ class TestConstructCommand:
                 ["monitoring-tree", "--m", "100000000", "--dmax", "40"],
                 "monitoring-tree m=100000000 d_max=40 has 2800000000 path nodes, more than 2097152 to build",
             ),
-            # these two pass the path-node and testing-matrix guards, and their sidecars
-            # would spell out n encodings of m characters each
+            # these pass the path-node guard, and their sidecars would spell out n encodings
+            # of m characters each; the first two would also take over 2^27 bytes of testing
+            # matrix, and ran out of memory in testing_matrix and in build_graph
+            (
+                ["monitoring-tree", "--m", "110000", "--dmax", "40"],
+                "monitoring-tree m=110000 d_max=40 has 219999 encodings of 110000 characters, "
+                "24199890000 in all, more than 134217728",
+            ),
+            (
+                ["half-grid", "--m", "1448"],
+                "half-grid m=1448 has 1049076 encodings of 1448 characters, 1519062048 in all, more than 134217728",
+            ),
             (
                 ["monitoring-tree", "--m", "20000", "--dmax", "40"],
                 "monitoring-tree m=20000 d_max=40 has 39999 encodings of 20000 characters, "
@@ -478,42 +488,14 @@ class TestConstructCommand:
                 "half-grid m=900 has 405450 encodings of 900 characters, 364905000 in all, more than 134217728",
             ),
         ],
-        ids=["ica", "half-grid", "monitoring-tree", "monitoring-tree-sidecar", "half-grid-sidecar"],
+        ids=[
+            "ica", "half-grid", "monitoring-tree",
+            "monitoring-tree-matrix", "half-grid-matrix", "monitoring-tree-sidecar", "half-grid-sidecar",
+        ],
     )
     def test_too_large_refused_before_any_work(self, tmp_path, argv, message):
         # each ran out of memory under this 600 MB address-space limit before its guard; in a
         # child process, the limit also keeps a broken guard from taking the machine's memory
-        resource = pytest.importorskip("resource")
-        limit = 600 * 2**20
-        run = subprocess.run(
-            [sys.executable, "-m", "tomobound.cli", "construct", *argv, "--out", str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": str(Path(tomobound.__file__).parents[1])},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-            capture_output=True, text=True, timeout=60,
-        )
-        assert (run.returncode, run.stdout) == (2, "")
-        assert run.stderr == f"error: {message}\n"
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (
-                ["monitoring-tree", "--m", "110000", "--dmax", "40"],
-                "a testing matrix of 110000 paths over 219999 nodes takes 3024986250 bytes, "
-                "more than 134217728",
-            ),
-            (
-                ["half-grid", "--m", "1448"],
-                "a testing matrix of 1448 paths over 1049076 nodes takes 189882756 bytes, "
-                "more than 134217728",
-            ),
-        ],
-        ids=["monitoring-tree", "half-grid"],
-    )
-    def test_too_large_matrix_refused_before_any_work(self, tmp_path, argv, message):
-        # each passed the path-node guard and then ran out of memory under this limit, in
-        # testing_matrix and in build_graph
         resource = pytest.importorskip("resource")
         limit = 600 * 2**20
         run = subprocess.run(

@@ -45,6 +45,12 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph([(-1, 2)])
 
+    @pytest.mark.parametrize("pair", [(-5, -3), (-3, -5)])
+    def test_negative_id_named_in_normalised_pair(self, pair):
+        # 1 + the largest id is -2: the edge is named, not the node count derived from it
+        with pytest.raises(ValueError, match=r"^negative node id in pair \(-5, -3\)$"):
+            build_graph([pair])
+
     def test_override_must_cover_max_id(self):
         with pytest.raises(ValueError):
             build_graph([(0, 9)], node_count=5)
@@ -313,3 +319,12 @@ class TestPathType:
     def test_graph_rejects_unnormalized_edge(self):
         with pytest.raises(ValueError):
             Graph(node_count=3, edges=frozenset({(2, 1)}))
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [((-1, 2), r"^negative node id in pair \(-1, 2\)$"), ((1, 1), r"^self-loop rejected: \(1, 1\)$")],
+        ids=["negative-id", "self-loop"],
+    )
+    def test_graph_names_the_bad_edge(self, edge, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(3, frozenset({edge}))
