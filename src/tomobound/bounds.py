@@ -15,6 +15,7 @@ floor boundaries are the whole content, so no floats anywhere.
 
 from __future__ import annotations
 
+import re
 import sys
 import warnings
 from enum import Enum
@@ -69,11 +70,8 @@ class BoundResult:
         """The JSON form: the fields in order, Fractions as text, and a defaulted
         field only when set; a ValueError names any field too long to print."""
         for name in ("d", "n_max", "n_max_exact"):
-            value = getattr(self, name)
-            if value is not None and _too_long_to_print(value):
-                raise ValueError(
-                    f"{name} has more than {_digit_limit()} decimal digits, too many to print"
-                )
+            if (value := getattr(self, name)) is not None:
+                check_printable(name, value)
         out: dict = {}
         for name in BoundResult.__annotations__:  # the fields, in order
             value = getattr(self, name)
@@ -92,6 +90,19 @@ def _digit_limit() -> int:
 def _too_long_to_print(x: Rational) -> bool:
     limit, big = _digit_limit(), max(abs(x.numerator), x.denominator)
     return limit > 0 and big.bit_length() > 3 * limit and big >= 10**limit  # 2**(3*limit) < 10**limit
+
+
+def check_printable(name: str, x: Rational | str) -> None:
+    """Raise a ValueError naming ``name`` when x has more decimal digits than
+    Python turns into text or reads from it. A text is checked by its runs of
+    digits, underscores left out, which is how ``int`` counts them, so a number
+    too long to read is refused before ``Fraction`` parses it."""
+    if isinstance(x, str):
+        too_long = any(len(run) > _digit_limit() > 0 for run in re.findall(r"\d+", x.replace("_", "")))
+    else:
+        too_long = _too_long_to_print(x)
+    if too_long:
+        raise ValueError(f"{name} has more than {_digit_limit()} decimal digits, too many to print")
 
 
 def _check_m(m: int) -> None:

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import SCENARIO_INPUTS, Scenario, bound
+from .bounds import SCENARIO_INPUTS, Scenario, bound, check_printable
 from .construct import (
     ConstructedInstance,
     ConstructionError,
@@ -49,6 +49,10 @@ CHECK_VIOLATIONS = 1
 
 
 def _fraction(text: str) -> Fraction:
+    try:
+        check_printable("the number", text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -11,7 +11,8 @@ bounds structurally.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, tee
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -122,14 +123,20 @@ def _candidate_steps(
     vectors in descending lexicographic order give the profiles from largest
     down; within one vector the subsets come in path-index order. ``residual``
     is read when ``candidates`` is called, ``taken`` as each subset is
-    yielded: the search restores ``taken`` before it resumes a step. Per
-    residual vector the groups are kept, and per group the subsets generated
-    so far, extended only as far as some step reads.
+    yielded: the search restores ``taken`` before it resumes a step. The memo
+    is two ``functools.cache``s, each of ``itertools.tee`` origins that no
+    reader advances: ``plan`` keeps each residual vector's groups, made as a
+    step first reaches them, and ``group`` each group's subsets. A step reads
+    copies, which share what was generated so far.
     """
-    plans: dict[tuple[int, ...], list[tuple[list, Iterator]]] = {}
-    groups: dict[tuple, tuple[list, Iterator]] = {}
 
-    def plan(residual: tuple[int, ...]) -> Iterator[tuple[list, Iterator]]:
+    @cache
+    def group(parts: tuple) -> Iterator[tuple[tuple[int, ...], int]]:
+        subsets = combinations(*parts[0]) if len(parts) == 1 else _quota_subsets(parts)
+        return tee(((s, _mask(s)) for s in subsets), 1)[0]
+
+    @cache
+    def plan(residual: tuple[int, ...]) -> Iterator[Iterator[tuple[tuple[int, ...], int]]]:
         values = sorted({r for r in residual if r >= 1}, reverse=True)
         classes = [tuple(k for k in range(m) if residual[k] == v) for v in values]
         # count vectors class by class, largest count first, keeping only the
@@ -144,35 +151,13 @@ def _candidate_steps(
                 for c in range(min(len(members), width - sum(v)), -1, -1)
                 if width - sum(v) - c <= rest
             ]
-        for v in vectors:
-            parts = tuple((members, c) for members, c in zip(classes, v) if c)
-            if parts not in groups:
-                subsets = combinations(*parts[0]) if len(parts) == 1 else _quota_subsets(parts)
-                groups[parts] = ([], ((s, _mask(s)) for s in subsets))
-            yield groups[parts]
+        return tee((group(tuple((members, c) for members, c in zip(classes, v) if c)) for v in vectors), 1)[0]
 
     def candidates(residual: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-        key = tuple(residual)
-        if key not in plans:
-            plans[key] = list(plan(key))
-        return (found for g in plans[key] for found in _drain(g) if found[1] not in taken)
+        groups = plan(tuple(residual)).__copy__()
+        return (found for g in groups for found in g.__copy__() if found[1] not in taken)
 
     return candidates
-
-
-def _drain(group: tuple[list, Iterator]) -> Iterator:
-    """Items of a memoised group: those already generated, then new ones from
-    its source, which are appended for the next reader."""
-    seen, source = group
-    i = 0
-    while True:
-        if i == len(seen):
-            item = next(source, None)
-            if item is None:
-                return
-            seen.append(item)
-        yield seen[i]
-        i += 1
 
 
 def _quota_subsets(parts: Sequence[tuple[tuple[int, ...], int]]) -> Iterator[tuple[int, ...]]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fixtures
 from ._record import record
-from .bounds import SCENARIO_INPUTS, Scenario, _digit_limit, _too_long_to_print, bound, bound_single_server
+from .bounds import SCENARIO_INPUTS, Scenario, bound, bound_single_server, check_printable
 from .construct import fat_tree, fat_tree_all_pair_paths, fat_tree_route, ica
 from .identifiability import one_identifiable_set, testing_matrix
 from .model import Graph, PathSet, load_graph
@@ -64,11 +64,8 @@ class ResultTable:
         """Raise a ValueError naming any number too long to print, with its row."""
         for row in self.rows:
             for name, x in zip(self.HEADER, row):
-                if isinstance(x, (int, Fraction)) and _too_long_to_print(x):
-                    raise ValueError(
-                        f"{name} of the {row[2]} {row[3]} row has more than "
-                        f"{_digit_limit()} decimal digits, too many to print"
-                    )
+                if isinstance(x, (int, Fraction)):
+                    check_printable(f"{name} of the {row[2]} {row[3]} row", x)
 
     def to_csv(self) -> str:
         self._check_printable()

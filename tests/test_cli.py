@@ -745,3 +745,27 @@ class TestExperimentCommand:
         data = json.loads(target.read_text())
         assert data["experiment"] == "tightness"
         assert len(data["rows"]) == len(plain.splitlines()) - 2
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python reads ints of any length from text",
+)
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bound", "--scenario", "arbitrary", "--m", "3", "--n", "10", "--dbar"], "--dbar"),
+        (["experiment", "--name", "bound_sweep", "--m", "3", "--d"], "--d"),
+    ],
+    ids=["bound-dbar", "experiment-d"],
+)
+def test_number_past_the_digit_limit_named(capsys, argv, flag):
+    # Fraction cannot read one more digit than the limit; the error names the
+    # limit and does not echo the number back
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "1" + "0" * limit])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"argument {flag}: the number has more than {limit} decimal digits, too many to print\n")
+    assert "0" * 100 not in err
