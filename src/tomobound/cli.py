@@ -8,12 +8,14 @@ Exit codes: 0 success, 1 the checked instance has path-validation violations,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .bounds import SCENARIO_INPUTS, Scenario, bound, check_printable
 from .construct import (
@@ -305,5 +307,22 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
 
+def entry() -> NoReturn:
+    """The program entry of ``python -m tomobound.cli`` and the ``tomobound``
+    script: exit with ``main()``'s code.
+
+    CPython's shutdown runs garbage collections over every object the process
+    still holds. ``gc.freeze()``, once the run has written all its output,
+    moves those objects to the collector's permanent generation, which those
+    collections skip. ``main()`` does not freeze: tests and tracers call it
+    in-process, where a freeze would keep a long-lived process's garbage
+    cycles for good."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import record
 from .bounds import Rational, Scenario, bound, bound_single_server
-from .identifiability import MATRIX_BYTES_GUARD, encoding_string, one_identifiable_set, testing_matrix
-from .model import Graph, PathSet, build_graph
+from .identifiability import encoding_string, one_identifiable_set, testing_matrix
+from .model import MATRIX_BYTES_GUARD, Graph, PathSet, build_graph
 from .routing import walk_to_root
 
 _ENUMERATION_GUARD = 2_000_000  # candidates tried over a whole top-layer search

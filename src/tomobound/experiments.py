@@ -45,6 +45,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment {self.name!r}; have {tuple(EXPERIMENTS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:  # random.Random seeds with abs(seed), so -7 would run as 7
+            raise ValueError(f"seed must be >= 0, got seed={self.seed}")
         for m in self.m_values:
             if m < 1:
                 raise ValueError(f"m must be >= 1, got m={m}")

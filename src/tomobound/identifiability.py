@@ -28,50 +28,23 @@ def encoding_string(bits: int, m: int) -> str:
     return format(bits, f"0{m}b")[::-1]
 
 
-# The most bytes a testing matrix may take; fat-tree k=16 over all host pairs
-# (m = 523,776 over 1,344 nodes) takes about 88 MB.
-MATRIX_BYTES_GUARD = 1 << 27
-
-
-def check_matrix_size(m: int, nodes: int) -> None:
-    """Refuse a testing matrix of m paths over ``nodes`` touched nodes, ceil(m/8)
-    bytes each, that would take more than ``MATRIX_BYTES_GUARD`` bytes."""
-    size = nodes * ((m + 7) >> 3)
-    if size > MATRIX_BYTES_GUARD:
-        raise ValueError(
-            f"a testing matrix of {m} paths over {nodes} nodes takes {size} bytes, more than {MATRIX_BYTES_GUARD}"
-        )
-
-
 def testing_matrix(ps: PathSet, n: int) -> tuple[int, ...]:
     """The m x n Boolean incidence of paths over nodes as its n columns: entry
     j is node j's encoding; duplicate node mentions within a path collapse.
 
-    Each node a path touches gets one ``bytearray`` of ceil(m/8) bytes, path i
-    setting bit ``i & 7`` of byte ``i >> 3``; each such row becomes its
-    column's int once at the end. For total path length L over t touched
-    nodes that is O(n + L + t*m/8), where OR-ing ``1 << i`` into growing ints
-    would copy up to m bits at every incidence. A matrix over
-    ``MATRIX_BYTES_GUARD`` bytes is refused before the rows are allocated.
+    The columns are ``ps.columns``, built once per path set under its size
+    guard, padded with zero columns to n. A path that crosses a node outside
+    ``0..n-1`` is named before the columns are built.
     """
+    top = ps.max_node_id()
     try:
-        cols = [0] * n
+        padding = (0,) * (n - 1 - top)
     except (MemoryError, OverflowError):  # raised before any allocation at such sizes
         raise ValueError(f"a testing matrix over n={n} nodes does not fit in memory") from None
-    touched = set().union(*ps.paths)
-    if max(touched) >= n:
+    if top >= n:
         i, u = next((i, u) for i, p in enumerate(ps.paths) for u in p if u >= n)
         raise ValueError(f"path {i} references node {u} >= n={n}")
-    check_matrix_size(ps.m, len(touched))
-    width = (ps.m + 7) >> 3
-    rows = {u: bytearray(width) for u in touched}
-    for i, p in enumerate(ps.paths):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for u in p:
-            rows[u][byte] |= bit
-    for u, row in rows.items():
-        cols[u] = int.from_bytes(row, "little")
-    return tuple(cols)
+    return ps.columns + padding
 
 
 def one_identifiable_set(columns: tuple[int, ...]) -> tuple[int, frozenset[int]]:

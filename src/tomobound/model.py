@@ -17,6 +17,10 @@ from ._record import record
 
 Edge = tuple[int, int]
 
+# The most bytes a testing matrix may take; fat-tree k=16 over all host pairs
+# (m = 523,776 over 1,344 nodes) takes about 88 MB.
+MATRIX_BYTES_GUARD = 1 << 27
+
 
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
@@ -113,17 +117,54 @@ class PathSet:
     def __iter__(self):
         return iter(self.paths)
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.paths[i]
-
     def lengths(self) -> tuple[int, ...]:
         return tuple(map(len, self.paths))
 
     def max_node_id(self) -> int:
         return max(map(max, self.paths))
 
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """The testing matrix over node ids ``0..max_node_id()`` as its columns:
+        entry j is node j's encoding, bit i set when path i crosses node j; a
+        path that repeats a node sets its bit once.
+
+        Each node a path touches gets one ``bytearray`` of ceil(m/8) bytes, path i
+        setting bit ``i & 7`` of byte ``i >> 3``; each such row becomes its
+        column's int once at the end. For total path length L over t touched
+        nodes that is O(n + L + t*m/8), where OR-ing ``1 << i`` into growing ints
+        would copy up to m bits at every incidence. A matrix over
+        ``MATRIX_BYTES_GUARD`` bytes is refused before the rows are allocated.
+        Built on first use and kept on this path set, as ``Graph.neighbours`` is."""
+        n = self.max_node_id() + 1
+        try:
+            cols = [0] * n
+        except (MemoryError, OverflowError):  # raised before any allocation at such sizes
+            raise ValueError(f"a testing matrix over n={n} nodes does not fit in memory") from None
+        touched = set().union(*self.paths)
+        width = (self.m + 7) >> 3
+        if (size := len(touched) * width) > MATRIX_BYTES_GUARD:
+            raise ValueError(
+                f"a testing matrix of {self.m} paths over {len(touched)} nodes takes {size} bytes, "
+                f"more than {MATRIX_BYTES_GUARD}"
+            )
+        rows = {u: bytearray(width) for u in touched}
+        for i, p in enumerate(self.paths):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for u in p:
+                rows[u][byte] |= bit
+        for u, row in rows.items():
+            cols[u] = int.from_bytes(row, "little")
+        return tuple(cols)
+
+    @cached_property
+    def first_repeating_path(self) -> int | None:
+        """The index of the first path that repeats a node, None when every path
+        is simple. Found on first use and kept on this path set."""
+        return next((i for i, p in enumerate(self.paths) if len(set(p)) != len(p)), None)
+
     def all_simple(self) -> bool:
-        return all(len(set(p)) == len(p) for p in self.paths)
+        return self.first_repeating_path is None
 
 
 @record

@@ -11,7 +11,6 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from ._record import record
-from .identifiability import testing_matrix
 from .model import Edge, Graph, PathSet, _norm_edge
 
 
@@ -40,9 +39,8 @@ class ConsistencyReport:
 
 
 def _require_simple(ps: PathSet) -> None:
-    for i, p in enumerate(ps.paths):
-        if len(set(p)) != len(p):
-            raise ValueError(f"path {i} repeats a node; consistency is defined on simple paths")
+    if (i := ps.first_repeating_path) is not None:
+        raise ValueError(f"path {i} repeats a node; consistency is defined on simple paths")
 
 
 def _run_levels(cross: Sequence[int], nodes: tuple[int, ...]) -> list[int]:
@@ -80,7 +78,7 @@ def check_consistency(ps: PathSet, limit: int | None = None) -> ConsistencyRepor
     # path bitsets, bit i for path i: node -> the paths that cross it (the
     # testing-matrix columns), and normalised step (u, v) -> the paths that
     # take u and v consecutively
-    cross = testing_matrix(ps, ps.max_node_id() + 1)
+    cross = ps.columns
     step: dict[Edge, int] = {}
     for i, p in enumerate(ps.paths):
         for e in map(_norm_edge, p, p[1:]):
@@ -143,7 +141,7 @@ def q_lower_bound(ps: PathSet) -> int:
     that one path shares with another (itself included), i.e. the deepest
     level of any path's bit-sliced run counts. Witness only; no search."""
     _require_simple(ps)
-    cross = testing_matrix(ps, ps.max_node_id() + 1)
+    cross = ps.columns
     return max(len(_run_levels(cross, p)) for p in ps.paths)
 
 

@@ -89,6 +89,10 @@ class TestImax:
     def test_zero_when_budget_below_m(self):
         assert layer_bound(5, None, 4)[0] == 0
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="^N_max must be nonnegative$"):
+            layer_bound(5, None, -1)
+
     def test_caps_at_m(self):
         assert layer_bound(3, None, 10**9)[0] == 3
 
@@ -333,6 +337,16 @@ class TestBoundDispatch:
         assert r.bound == 5
         assert r.n_max == (None if d is None else 3 * m)
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "scenario, m, d, message",
+        [("arbitrary-avg", 0, 3, "m must be >= 1"),
+         ("single-server", 4, Fraction(7, 2), "single-server d_max must be an integer")],
+        ids=["m-zero", "fractional-dmax"],
+    )
+    def test_bad_parameter_named(self, scenario, m, d, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bound(scenario, m, 100, d=d)
 
     def test_missing_parameters(self):
         with pytest.raises(ValueError):

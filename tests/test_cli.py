@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import tomobound
 from conftest import reference_check_consistency, reference_q_lower_bound
 from tomobound.bounds import Scenario
-from tomobound.cli import main
+from tomobound.cli import entry, main
 from tomobound.identifiability import testing_matrix
 from tomobound.model import Graph, PathSet, format_edge_list, format_path_file
 
@@ -79,6 +80,18 @@ class TestBoundCommand:
         )
         assert code == 2
         assert "integer" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--dbar", "abc", "not a rational number: 'abc'"),
+         ("--ms", "3,x", "expected comma-separated integers, got '3,x'")],
+        ids=["dbar", "ms"],
+    )
+    def test_unreadable_flag_value_named(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--scenario", "multi-fixed", "--m", "6", "--n", "108", flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument {flag}: {message}\n")
 
     @pytest.mark.parametrize(
         "scenario, flags",
@@ -242,6 +255,38 @@ class TestCheckCommand:
         assert data["consistency_violations"] == [str(v) for v in ref.violations[:20]]
         assert data["q_lower_bound"] == reference_q_lower_bound(ps)
 
+    def test_non_simple_paths_leave_consistency_undefined(self, tmp_path, capsys):
+        (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n")
+        (tmp_path / "p.paths").write_text("0 1 2 1\n2 3\n")
+        code, out, err = run_cli(capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"))
+        report = {
+            "nodes": 4, "paths": 2, "path_lengths": [4, 2], "path_violations": [],
+            "phi1": 2, "identifiable": [2, 3], "per_path_distinct_encodings": [2, 2],
+            "consistent": None, "consistency_violations": ["paths are not simple; consistency not defined"],
+        }
+        assert (code, out, err) == (0, json.dumps(report, indent=1) + "\n", "")
+
+    def test_builds_one_testing_matrix(self, tmp_path, capsys, monkeypatch):
+        # check_consistency and q_lower_bound read the columns that check built
+        from tomobound.construct import fat_tree, fat_tree_all_pair_paths
+        from tomobound.model import save_graph, save_paths
+
+        ft = fat_tree(4)
+        save_graph(ft.graph, tmp_path / "g.edges")
+        save_paths(fat_tree_all_pair_paths(ft), tmp_path / "p.paths")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return testing_matrix(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tomobound") and getattr(module, "testing_matrix", None) is testing_matrix:
+                monkeypatch.setattr(module, "testing_matrix", counting)
+        code, out, _ = run_cli(capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"))
+        assert (code, json.loads(out)["q_lower_bound"]) == (0, 2)
+        assert len(calls) == 1
+
     def test_work_cap_env_override(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "g.edges").write_text("nodes 30\n" + "".join(f"{i} {i+1}\n" for i in range(29)))
         (tmp_path / "p.paths").write_text(" ".join(str(i) for i in range(30)) + "\n")
@@ -330,6 +375,55 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert err == "error: path 1: step (0, 2) is not an edge of the original graph\n"
+
+
+class TestProgramEntry:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["bound", "--scenario", "arbitrary-unbounded", "--m", "3", "--n", "100"], 0),
+            (["check", "{dir}/g.edges", "{dir}/p.paths"], 1),
+            (["bound", "--scenario", "single-server", "--m", "8", "--dbar", "3", "--n", "50"], 2),
+            (["bound", "--m", "3"], 2),
+        ],
+        ids=["success", "violations", "parameter-error", "usage-error"],
+    )
+    def test_child_exits_with_main_code(self, tmp_path, capsys, argv, code):
+        (tmp_path / "g.edges").write_text("0 1\n1 2\n")
+        (tmp_path / "p.paths").write_text("0 2\n")
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        run = subprocess.run(
+            [sys.executable, "-m", "tomobound.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(Path(tomobound.__file__).parents[1])},
+            capture_output=True, text=True, timeout=60,
+        )
+        try:
+            in_process = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            in_process = exc.code
+        assert (run.returncode, run.stdout, run.stderr) == (code, *capsys.readouterr())
+        assert in_process == code
+
+    def test_main_leaves_the_collector_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["bound", "--scenario", "arbitrary-unbounded", "--m", "3", "--n", "100"]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["bound", "--scenario", "arbitrary-unbounded", "--m", "3", "--n", "100"], 0), (["bound"], 2)],
+        ids=["success", "usage-error"],
+    )
+    def test_entry_freezes_the_collector_after_main(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["tomobound", *argv])
+        before = gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                entry()
+            assert exc.value.code == code
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
 
 
 class TestConstructCommand:
@@ -715,8 +809,9 @@ class TestExperimentCommand:
             ('{"nopairs": []}', 'expected a JSON object with a "pairs" list'),
             ("[1, 2]", 'expected a JSON object with a "pairs" list'),
             ('{"pairs": [[1]]}', "pair 0 is [1], expected [src, dst]"),
+            ("pairs", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
         ],
-        ids=["no-pairs-key", "not-an-object", "short-pair"],
+        ids=["no-pairs-key", "not-an-object", "short-pair", "not-json"],
     )
     def test_bad_pairs_file_exits_2(self, tmp_path, capsys, content, defect):
         pairs = tmp_path / "pairs.json"

@@ -88,6 +88,14 @@ class TestRandomPlacement:
         b = run_experiment(ExperimentSpec(seed=2, **base)).to_csv()
         assert a != b
 
+    def test_negative_seed_rejected(self, capsys):
+        # random.Random seeds with abs(seed): -7 would print seed=-7 over the rows of seed 7
+        argv = ["experiment", "--name", "random_placement", "--m", "4,8", "--trials", "3", "--seed", "-7"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got seed=-7\n")
+        with pytest.raises(ValueError, match="^seed must be >= 0, got seed=-1$"):
+            ExperimentSpec(name="tightness", seed=-1)
+
     def test_soundness_against_bound(self):
         spec = ExperimentSpec(
             name="random_placement",
@@ -156,6 +164,20 @@ class TestFatTreeId:
         assert metrics["all_pairs_half_consistent"] == 1
         m_of_cover = [row[0] for row in table.rows if row[3] == "phi1"][0]
         assert m_of_cover == 16
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"name": "random_placement"}, "random_placement needs m_values"),
+        ({"name": "fat_tree_id", "k": 6}, "bundled cover is for k=4, experiment requested k=6"),
+        ({"name": "tightness", "m_values": (3,)}, "tightness needs m_values and d_values"),
+    ],
+    ids=["random_placement", "fat_tree_id", "tightness"],
+)
+def test_missing_input_named(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_experiment(ExperimentSpec(**fields))
 
 
 class TestTightness:

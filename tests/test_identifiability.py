@@ -101,11 +101,11 @@ class TestTestingMatrix:
         # 3 touched nodes of 100, ceil(m/8) bytes each
         ps = PathSet.from_sequences([[0, 5, 7]] * m)
         size = 3 * ((m + 7) // 8)
-        monkeypatch.setattr("tomobound.identifiability.MATRIX_BYTES_GUARD", size - 1)
+        monkeypatch.setattr("tomobound.model.MATRIX_BYTES_GUARD", size - 1)
         with pytest.raises(ValueError) as exc:
             testing_matrix(ps, 100)
         assert str(exc.value) == f"a testing matrix of {m} paths over 3 nodes takes {size} bytes, more than {size - 1}"
-        monkeypatch.setattr("tomobound.identifiability.MATRIX_BYTES_GUARD", size)
+        monkeypatch.setattr("tomobound.model.MATRIX_BYTES_GUARD", size)
         assert testing_matrix(ps, 100) == reference_testing_matrix(ps, 100)
 
     def test_membership_matches_bits(self):

@@ -261,6 +261,17 @@ class TestFileFormats:
     def test_negative_id_names_its_line(self):
         with pytest.raises(ParseError, match=r"^g\.txt:2: negative node id in pair \(1, -2\)$"):
             parse_edge_list("0 1\n1 -2\n2 3\n", source="g.txt")
+        with pytest.raises(ParseError, match=r"^p\.txt:2: negative node id$"):
+            parse_path_file("0 1\n1 -2\n", source="p.txt")
+
+    def test_non_integer_edge_id_names_its_line(self):
+        with pytest.raises(ParseError, match=r"^g\.txt:2: non-integer node id in '1 x'$"):
+            parse_edge_list("0 1\n1 x\n", source="g.txt")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_path_file_without_paths(self, text):
+        with pytest.raises(ParseError, match=r"^p\.txt:0: no paths found$"):
+            parse_path_file(text, source="p.txt")
 
     @pytest.mark.parametrize("text", ["# c\nnodes 5\n0 1\n1 5\n", "0 1\n1 5\n# c\nnodes 5\n"])
     def test_header_below_largest_id_names_its_line(self, text):
@@ -315,6 +326,16 @@ class TestPathType:
     def test_simple_flag(self):
         assert PathSet.from_sequences([[0, 1, 2], [3]]).all_simple()
         assert not PathSet.from_sequences([[3], [0, 1, 0]]).all_simple()
+        assert PathSet.from_sequences([[0, 1, 2], [3]]).first_repeating_path is None
+        assert PathSet.from_sequences([[3], [0, 1, 0], [2, 2]]).first_repeating_path == 1
+
+    def test_columns_built_once_per_path_set(self):
+        # the columns run over ids 0..max only; fields, equality and hash ignore them
+        ps = PathSet.from_sequences([[0, 2], [2, 4, 2]])
+        assert ps.columns == (0b01, 0, 0b11, 0, 0b10)
+        assert ps.columns is ps.columns
+        assert ps == PathSet.from_sequences([[0, 2], [2, 4, 2]])
+        assert "columns" not in repr(ps)
 
     def test_graph_rejects_unnormalized_edge(self):
         with pytest.raises(ValueError):
@@ -322,8 +343,12 @@ class TestPathType:
 
     @pytest.mark.parametrize(
         "edge, message",
-        [((-1, 2), r"^negative node id in pair \(-1, 2\)$"), ((1, 1), r"^self-loop rejected: \(1, 1\)$")],
-        ids=["negative-id", "self-loop"],
+        [
+            ((-1, 2), r"^negative node id in pair \(-1, 2\)$"),
+            ((1, 1), r"^self-loop rejected: \(1, 1\)$"),
+            ((1, 3), r"^edge \(1, 3\) references a node >= node_count=3$"),
+        ],
+        ids=["negative-id", "self-loop", "beyond-node-count"],
     )
     def test_graph_names_the_bad_edge(self, edge, message):
         with pytest.raises(ValueError, match=message):

@@ -69,6 +69,12 @@ class TestCheckConsistency:
     def test_non_simple_rejected(self):
         with pytest.raises(ValueError, match="simple"):
             check_consistency(PathSet.from_sequences([[0, 1, 0]]))
+        # both checks name the first path that repeats a node
+        ps = PathSet.from_sequences([[0, 1], [2, 1, 2], [3, 3]])
+        message = "^path 1 repeats a node; consistency is defined on simple paths$"
+        for check in (check_consistency, q_lower_bound):
+            with pytest.raises(ValueError, match=message):
+                check(ps)
 
     def test_limit_below_one_rejected(self):
         with pytest.raises(ValueError, match="limit must be >= 1"):
@@ -105,6 +111,8 @@ class TestSegmentation:
 
     def test_malformed_cuts(self):
         ps = PathSet.from_sequences([[0, 1, 2]])
+        with pytest.raises(ValueError, match="^q must be >= 1$"):
+            verify_segmentation(ps, ((),), 0)
         with pytest.raises(ValueError, match="increasing"):
             verify_segmentation(ps, ((2, 1),), 3)
         with pytest.raises(ValueError, match="bounds"):
@@ -228,6 +236,14 @@ class TestConsistentShortestPaths:
         g = build_graph([(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="disconnected"):
             consistent_shortest_paths(g, [(0, 3)])
+
+    def test_bad_pairs_rejected(self):
+        g = build_graph([(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="^no pairs given$"):
+            consistent_shortest_paths(g, [])
+        for pair, node in [((0, 3), 3), ((-1, 2), -1)]:
+            with pytest.raises(ValueError, match=f"^node {node} out of range$"):
+                consistent_shortest_paths(g, [(0, 2), pair])
 
     def test_isp_fixture_100_random_pairs(self):
         from tomobound.fixtures import load_graph
