@@ -99,14 +99,9 @@ def path_completion(members: frozenset[int], m: int, d: Sequence[int]) -> frozen
         )
     s_mask = _mask(short)
     for candidate in _layer(m, want):
-        if candidate & s_mask:
-            continue
-        if candidate not in members:
-            continue
-        swapped = candidate | s_mask
-        if swapped in members:
-            continue
-        return (members - {candidate}) | {swapped}
+        if not candidate & s_mask and candidate in members:
+            # the swap has top + 1 ones, more than any member, so it is new
+            return (members - {candidate}) | {candidate | s_mask}
     raise ConstructionError("no eligible encoding found for path completion")
 
 

@@ -32,19 +32,20 @@ def testing_matrix(ps: PathSet, n: int) -> tuple[int, ...]:
     """The m x n Boolean incidence of paths over nodes as its n columns: entry
     j is node j's encoding; duplicate node mentions within a path collapse.
 
-    The columns are ``ps.columns``, built once per path set under its size
-    guard, padded with zero columns to n. A path that crosses a node outside
-    ``0..n-1`` is named before the columns are built.
+    The one dense layout of ``ps.columns``, which are built once per path set
+    under their size guard; an untouched node's column is 0. A path that
+    crosses a node outside ``0..n-1`` is named before the columns are built.
     """
-    top = ps.max_node_id()
-    try:
-        padding = (0,) * (n - 1 - top)
-    except (MemoryError, OverflowError):  # raised before any allocation at such sizes
-        raise ValueError(f"a testing matrix over n={n} nodes does not fit in memory") from None
-    if top >= n:
+    if ps.max_node_id() >= n:
         i, u = next((i, u) for i, p in enumerate(ps.paths) for u in p if u >= n)
         raise ValueError(f"path {i} references node {u} >= n={n}")
-    return ps.columns + padding
+    try:
+        cols = [0] * n
+    except (MemoryError, OverflowError):  # raised before any allocation at such sizes
+        raise ValueError(f"a testing matrix over n={n} nodes does not fit in memory") from None
+    for u, c in ps.columns.items():
+        cols[u] = c
+    return tuple(cols)
 
 
 def one_identifiable_set(columns: tuple[int, ...]) -> tuple[int, frozenset[int]]:

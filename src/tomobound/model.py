@@ -124,23 +124,19 @@ class PathSet:
         return max(map(max, self.paths))
 
     @cached_property
-    def columns(self) -> tuple[int, ...]:
-        """The testing matrix over node ids ``0..max_node_id()`` as its columns:
-        entry j is node j's encoding, bit i set when path i crosses node j; a
-        path that repeats a node sets its bit once.
+    def columns(self) -> dict[int, int]:
+        """The testing matrix's nonzero columns: each node a path touches maps
+        to its encoding, bit i set when path i crosses the node; a path that
+        repeats a node sets its bit once. ``testing_matrix`` lays them out
+        over n nodes.
 
-        Each node a path touches gets one ``bytearray`` of ceil(m/8) bytes, path i
+        Each touched node gets one ``bytearray`` of ceil(m/8) bytes, path i
         setting bit ``i & 7`` of byte ``i >> 3``; each such row becomes its
         column's int once at the end. For total path length L over t touched
-        nodes that is O(n + L + t*m/8), where OR-ing ``1 << i`` into growing ints
+        nodes that is O(L + t*m/8), where OR-ing ``1 << i`` into growing ints
         would copy up to m bits at every incidence. A matrix over
         ``MATRIX_BYTES_GUARD`` bytes is refused before the rows are allocated.
         Built on first use and kept on this path set, as ``Graph.neighbours`` is."""
-        n = self.max_node_id() + 1
-        try:
-            cols = [0] * n
-        except (MemoryError, OverflowError):  # raised before any allocation at such sizes
-            raise ValueError(f"a testing matrix over n={n} nodes does not fit in memory") from None
         touched = set().union(*self.paths)
         width = (self.m + 7) >> 3
         if (size := len(touched) * width) > MATRIX_BYTES_GUARD:
@@ -153,9 +149,7 @@ class PathSet:
             byte, bit = i >> 3, 1 << (i & 7)
             for u in p:
                 rows[u][byte] |= bit
-        for u, row in rows.items():
-            cols[u] = int.from_bytes(row, "little")
-        return tuple(cols)
+        return {u: int.from_bytes(row, "little") for u, row in rows.items()}
 
     @cached_property
     def first_repeating_path(self) -> int | None:

@@ -43,7 +43,7 @@ def _require_simple(ps: PathSet) -> None:
         raise ValueError(f"path {i} repeats a node; consistency is defined on simple paths")
 
 
-def _run_levels(cross: Sequence[int], nodes: tuple[int, ...]) -> list[int]:
+def _run_levels(cross: Mapping[int, int], nodes: tuple[int, ...]) -> list[int]:
     """Bit-sliced run counts along ``nodes``: levels[r] holds the paths in at
     least r + 1 entry masks c(u_a) & ~c(u_{a-1}), i.e. sharing that many runs."""
     levels: list[int] = []

@@ -820,6 +820,15 @@ class TestExperimentCommand:
         assert code == 2
         assert err == f"error: {pairs}: {defect}\n"
 
+    def test_unknown_fat_tree_address_exits_2(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text('{"pairs": [["10.9.9.9", "10.0.0.2"]]}')
+        code, out, err = run_cli(
+            capsys, "experiment", "--name", "fat_tree_id", "--k", "4", "--pairs", str(pairs)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: '10.9.9.9' is neither a node id nor a fat-tree address\n"
+
     def test_written_file(self, tmp_path, capsys):
         target = tmp_path / "out.csv"
         code, out, _ = run_cli(

@@ -295,6 +295,17 @@ class TestPathCompletion:
         out = path_completion(members, 4, [5, 4, 4, 4])
         assert len(out) == len(members)
 
+    def test_skips_candidates_that_meet_the_short_paths_or_are_not_members(self):
+        # path 0 is one short; 1100, 1010 and 1001 meet it, 0110 is not a member,
+        # so 0101 is the first candidate and becomes 1101
+        members = frozenset(
+            bits(s) for s in ["1000", "0100", "0010", "0001", "1100", "1010", "1001", "0101", "0011"]
+        )
+        assert loads(members, 4) == (4, 3, 3, 4)
+        out = path_completion(members, 4, [5, 3, 3, 4])
+        assert out == members - {bits("0101")} | {bits("1101")}
+        assert loads(out, 4) == (5, 3, 3, 4)
+
     def test_error_when_no_candidate(self):
         # all heavier encodings already present: completion cannot swap
         members = frozenset(bits(s) for s in ["10", "01", "11"])

@@ -330,9 +330,9 @@ class TestPathType:
         assert PathSet.from_sequences([[3], [0, 1, 0], [2, 2]]).first_repeating_path == 1
 
     def test_columns_built_once_per_path_set(self):
-        # the columns run over ids 0..max only; fields, equality and hash ignore them
+        # the columns of the touched nodes only; fields, equality and hash ignore them
         ps = PathSet.from_sequences([[0, 2], [2, 4, 2]])
-        assert ps.columns == (0b01, 0, 0b11, 0, 0b10)
+        assert ps.columns == {0: 0b01, 2: 0b11, 4: 0b10}
         assert ps.columns is ps.columns
         assert ps == PathSet.from_sequences([[0, 2], [2, 4, 2]])
         assert "columns" not in repr(ps)

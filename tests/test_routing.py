@@ -166,6 +166,19 @@ class TestQLowerBound:
         assert q_lower_bound(ps) == 2
 
 
+def test_routing_memory_does_not_grow_with_the_largest_node_id():
+    # routing reads the touched nodes' columns only; the dense layout over n,
+    # and its refusal of an n too large for memory, belong to testing_matrix.
+    # n = 2^62 is refused before any allocation, whatever the kernel's
+    # overcommit policy, where a list of 2^40 entries would rely on it
+    ps = PathSet(((0, 1, 2**40), (2**40, 1, 5)))
+    report = check_consistency(ps)
+    assert report.consistent and report.violations == ()
+    assert q_lower_bound(ps) == 1
+    with pytest.raises(ValueError, match=rf"^a testing matrix over n={2**62} nodes does not fit in memory$"):
+        testing_matrix(ps, 2**62)
+
+
 class TestFullSizeFatTree:
     """All-pairs fat-tree routes at the sizes `check` and `construct` meet."""
 
