@@ -81,8 +81,8 @@ def path_completion(members: frozenset[int], m: int, d: Sequence[int]) -> frozen
     pick an encoding b' that avoids all of S, drawn from the members with |S|
     fewer ones than the heaviest layer, and replace it by b' with the S bits
     added. The swap exists whenever the members include the complete layers
-    below the heaviest one; the candidate scan follows ascending path-index
-    order, so the choice is deterministic.
+    below the heaviest one; the eligible member first in ascending
+    path-index (combination) order is swapped, so the choice is deterministic.
     """
     loads = _loads(members, m)
     short = [k for k in range(m) if loads[k] == d[k] - 1]
@@ -98,11 +98,12 @@ def path_completion(members: frozenset[int], m: int, d: Sequence[int]) -> frozen
             f"{len(short)} overlength paths cannot be completed from crossing-{top} members"
         )
     s_mask = _mask(short)
-    for candidate in _layer(m, want):
-        if not candidate & s_mask and candidate in members:
-            # the swap has top + 1 ones, more than any member, so it is new
-            return (members - {candidate}) | {candidate | s_mask}
-    raise ConstructionError("no eligible encoding found for path completion")
+    eligible = [b for b in members if b.bit_count() == want and not b & s_mask]
+    if not eligible:
+        raise ConstructionError("no eligible encoding found for path completion")
+    candidate = min(eligible, key=_bit_positions)
+    # the swap has top + 1 ones, more than any member, so it is new
+    return (members - {candidate}) | {candidate | s_mask}
 
 
 def _candidate_steps(

@@ -11,7 +11,7 @@ writes path 1 leftmost, matching the usual display of such vectors.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, compress
+from itertools import compress
 from math import comb
 
 from .model import PathSet
@@ -56,16 +56,6 @@ def one_identifiable_set(columns: tuple[int, ...]) -> tuple[int, frozenset[int]]
     return len(ident), ident
 
 
-def _guard_oracle_size(n: int, k: int, work_cap: int) -> None:
-    """Refuse when the enumeration would visit more than ``work_cap`` failure sets."""
-    subsets = sum(comb(n, i) for i in range(1, k + 1))
-    if subsets > work_cap:
-        raise OracleTooLargeError(
-            f"oracle too large: {subsets} failure sets (sum of C({n},i) for i=1..{k}) "
-            f"exceed work cap {work_cap}"
-        )
-
-
 def k_identifiable_set(
     columns: tuple[int, ...], k: int, work_cap: int = DEFAULT_WORK_CAP
 ) -> tuple[int, frozenset[int]]:
@@ -73,37 +63,43 @@ def k_identifiable_set(
 
     Node v is k-identifiable iff any two failure sets of size <= k that differ
     on v produce different sets of failed paths. Every failure set F with
-    |F| <= k is enumerated, grouping the OR of member encodings (the
-    incident-path signature). Node v fails the test iff some signature is
-    reachable both with v failed and with v working, i.e. v lies in the union
-    but not the intersection of that signature's failure sets.
+    |F| <= k is visited once, as a visited set plus one node of higher id, so
+    its signature (the OR of its members' encodings, its incident paths) costs
+    one OR. Node v fails the test iff some signature is reached both with v
+    failed and with v working, i.e. v lies in the union but not the
+    intersection of that signature's failure sets; a set that differs from its
+    signature's running intersection marks exactly such nodes. A walk that
+    fills memory raises ``OracleTooLargeError``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = len(columns)
     k = min(k, n)  # no failure set has more than n nodes
-    _guard_oracle_size(n, k, work_cap)
-    all_nodes = (1 << n) - 1
-    union_of: dict[int, int] = {0: 0}
-    inter_of: dict[int, int] = {0: 0}  # F = empty set has signature 0 and no members
-    for size in range(1, k + 1):
-        for subset in combinations(range(n), size):
-            sig = 0
-            mask = 0
-            for j in subset:
-                sig |= columns[j]
-                mask |= 1 << j
-            if sig in union_of:
-                union_of[sig] |= mask
-                inter_of[sig] &= mask
-            else:
-                union_of[sig] = mask
-                inter_of[sig] = mask
+    subsets = sum(comb(n, i) for i in range(1, k + 1))
+    if subsets > work_cap:
+        raise OracleTooLargeError(
+            f"oracle too large: {subsets} failure sets (sum of C({n},i) for i=1..{k}) "
+            f"exceed work cap {work_cap}"
+        )
+    inter_of = {0: 0}  # signature -> intersection of its failure sets; F = {} has no members
     bad = 0
-    for sig, union in union_of.items():
-        bad |= union & ~inter_of[sig]
-    good = all_nodes & ~bad
-    ident = frozenset(j for j in range(n) if good >> j & 1)
+    stack = [(0, 0, 0, k)]  # (lowest id to add, signature, members, nodes left) of visited sets
+    try:
+        while stack:
+            low, sig, mask, left = stack.pop()
+            left -= 1
+            for j in range(low, n):
+                sig_j, mask_j = sig | columns[j], mask | 1 << j
+                inter = inter_of.setdefault(sig_j, mask_j)
+                bad |= inter ^ mask_j
+                inter_of[sig_j] = inter & mask_j
+                if left:
+                    stack.append((j + 1, sig_j, mask_j, left))
+    except MemoryError:
+        raise OracleTooLargeError(
+            f"oracle too large: {len(inter_of)} failure-set signatures filled memory"
+        ) from None
+    ident = frozenset(j for j in range(n) if not bad >> j & 1)
     return len(ident), ident
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,25 @@ class TestCheckCommand:
         )
         assert code == 2
         assert "oracle too large" in err
+
+    def test_oracle_out_of_memory_exits_2(self, tmp_path, capsys):
+        # fat-tree k=6 at --k 4 visits 3.9M failure sets, under the default work cap; their
+        # signatures outgrow this 300 MB address-space limit, set in a child process
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no address-space limit on this platform")
+        assert main(["construct", "fat-tree", "--k", "6", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        limit = 300 * 2**20
+        run = subprocess.run(
+            [sys.executable, "-m", "tomobound.cli", "check",
+             str(tmp_path / "fat_tree.edges"), str(tmp_path / "fat_tree.paths"), "--k", "4"],
+            env={**os.environ, "PYTHONPATH": str(Path(tomobound.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (run.returncode, run.stdout) == (2, "")
+        assert re.fullmatch(r"error: oracle too large: \d+ failure-set signatures filled memory\n", run.stderr)
 
     def test_work_cap_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "g.edges").write_text("0 1\n")

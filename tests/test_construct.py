@@ -257,6 +257,17 @@ class TestIca:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_path_completion_memory(self):
+        # listing all C(600, want) masks of the swap's layer peaked at about 15 MiB
+        tracemalloc.start()
+        try:
+            inst = ica(600, Fraction(603, 600))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.meta["path_completion"]
+        assert peak < 4 * 2**20
+
     def test_full_size_files_unchanged(self, tmp_path, capsys):
         # sha256 of the files written by ``construct ica --m 16 --dbar 200``,
         # recorded before the top-layer search was written as a loop

@@ -241,6 +241,22 @@ class TestKIdentifiability:
             for j in (1, 2, 10**9):
                 assert k_identifiable_set(t, n + j) == k_identifiable_set(t, n)
 
+    def test_matches_brute_force_at_k_n_minus_1_and_n(self):
+        # the walk goes up to n levels deep, over zero and repeated columns; a hub column
+        # that is the OR of several one-path columns collides only with sets of their size
+        rng = random.Random(23)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            cols = [rng.choice((0, 1 << rng.randrange(n), 1 << rng.randrange(n), rng.randrange(1 << n)))
+                    for _ in range(n - 1)]
+            hub = 0
+            for c in rng.sample(cols, rng.randint(0, n - 1)):
+                hub |= c
+            cols.insert(rng.randint(0, n - 1), hub)
+            t = tuple(cols)
+            for k in {max(n - 1, 1), n}:
+                assert k_identifiable_set(t, k)[1] == brute_force_k_identifiable_set(t, k), (t, k)
+
     def test_work_cap_guard(self):
         ps = PathSet.from_sequences([list(range(40))])
         t = testing_matrix(ps, 40)
