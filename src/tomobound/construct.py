@@ -10,9 +10,10 @@ bounds structurally.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, tee
+from itertools import chain, combinations, tee
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -47,20 +48,6 @@ class ConstructedInstance:
         return tuple(encoding_string(b, m) for b in self.encodings)
 
 
-def _bit_positions(bits: int) -> tuple[int, ...]:
-    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
-
-
-def _canonical_key(bits: int) -> tuple[int, tuple[int, ...]]:
-    # crossing number first, then the sorted path indices of the ones
-    return (bits.bit_count(), _bit_positions(bits))
-
-
-def _loads(members: frozenset[int], m: int) -> tuple[int, ...]:
-    """Per-path load: how many member encodings have bit i set."""
-    return tuple(sum(1 for b in members if b >> i & 1) for i in range(m))
-
-
 def _mask(indices: Iterable[int]) -> int:
     """Encoding with exactly the given bits set."""
     bits = 0
@@ -69,50 +56,48 @@ def _mask(indices: Iterable[int]) -> int:
     return bits
 
 
-def _layer(m: int, k: int) -> list[int]:
-    """All encodings with exactly k ones, in ascending-path-index (combination) order."""
-    return [_mask(subset) for subset in combinations(range(m), k)]
-
-
-def path_completion(members: frozenset[int], m: int, d: Sequence[int]) -> frozenset[int]:
+def path_completion(
+    members: frozenset[tuple[int, ...]], m: int, d: Sequence[int]
+) -> frozenset[tuple[int, ...]]:
     """Fix up overlength paths by swapping one encoding for a heavier one.
 
-    With S the set of paths whose load sits one short of its target length,
-    pick an encoding b' that avoids all of S, drawn from the members with |S|
-    fewer ones than the heaviest layer, and replace it by b' with the S bits
-    added. The swap exists whenever the members include the complete layers
-    below the heaviest one; the eligible member first in ascending
-    path-index (combination) order is swapped, so the choice is deterministic.
+    Each member is an encoding as the sorted indices of the paths through its
+    node. With S the set of paths whose load sits one short of its target
+    length, pick an encoding b' that avoids all of S, drawn from the members
+    with |S| fewer paths than the heaviest layer, and replace it by b' with
+    the S paths added. The swap exists whenever the members include the
+    complete layers below the heaviest one; the eligible member first in
+    ascending path-index (combination) order is swapped, so the choice is
+    deterministic.
     """
-    loads = _loads(members, m)
+    loads = Counter(chain.from_iterable(members))
     short = [k for k in range(m) if loads[k] == d[k] - 1]
     if not short:
         return members
     over = [k for k in range(m) if loads[k] > d[k]]
     if over:
         raise ConstructionError(f"paths {over} already exceed their target lengths")
-    top = max(b.bit_count() for b in members)
+    top = max(map(len, members))
     want = top + 1 - len(short)
     if want < 1:
         raise ConstructionError(
             f"{len(short)} overlength paths cannot be completed from crossing-{top} members"
         )
-    s_mask = _mask(short)
-    eligible = [b for b in members if b.bit_count() == want and not b & s_mask]
+    avoid = set(short)
+    eligible = [b for b in members if len(b) == want and avoid.isdisjoint(b)]
     if not eligible:
         raise ConstructionError("no eligible encoding found for path completion")
-    candidate = min(eligible, key=_bit_positions)
-    # the swap has top + 1 ones, more than any member, so it is new
-    return (members - {candidate}) | {candidate | s_mask}
+    candidate = min(eligible)
+    # the swap has top + 1 paths, more than any member, so it is new
+    return (members - {candidate}) | {tuple(sorted((*candidate, *short)))}
 
 
 def _candidate_steps(
-    m: int, width: int, taken: set[int]
-) -> Callable[[Sequence[int]], Iterator[tuple[tuple[int, ...], int]]]:
+    m: int, width: int, taken: set[tuple[int, ...]]
+) -> Callable[[Sequence[int]], Iterator[tuple[int, ...]]]:
     """Candidate source for one top-layer search: ``candidates(residual)``
-    yields, with its encoding, each width-subset of the paths with residual
-    >= 1 that is not in ``taken``, largest residual profile first, ties by
-    path index.
+    yields each width-subset of the paths with residual >= 1 that is not in
+    ``taken``, largest residual profile first, ties by path index.
 
     The paths fall into classes by residual value, largest first. A subset's
     profile is fixed by how many paths it takes from each class, so count
@@ -127,12 +112,12 @@ def _candidate_steps(
     """
 
     @cache
-    def group(parts: tuple) -> Iterator[tuple[tuple[int, ...], int]]:
+    def group(parts: tuple) -> Iterator[tuple[int, ...]]:
         subsets = combinations(*parts[0]) if len(parts) == 1 else _quota_subsets(parts)
-        return tee(((s, _mask(s)) for s in subsets), 1)[0]
+        return tee(subsets, 1)[0]
 
     @cache
-    def plan(residual: tuple[int, ...]) -> Iterator[Iterator[tuple[tuple[int, ...], int]]]:
+    def plan(residual: tuple[int, ...]) -> Iterator[Iterator[tuple[int, ...]]]:
         values = sorted({r for r in residual if r >= 1}, reverse=True)
         classes = [tuple(k for k in range(m) if residual[k] == v) for v in values]
         # count vectors class by class, largest count first, keeping only the
@@ -149,9 +134,9 @@ def _candidate_steps(
             ]
         return tee((group(tuple((members, c) for members, c in zip(classes, v) if c)) for v in vectors), 1)[0]
 
-    def candidates(residual: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    def candidates(residual: Sequence[int]) -> Iterator[tuple[int, ...]]:
         groups = plan(tuple(residual)).__copy__()
-        return (found for g in groups for found in g.__copy__() if found[1] not in taken)
+        return (s for g in groups for s in g.__copy__() if s not in taken)
 
     return candidates
 
@@ -191,7 +176,7 @@ def _quota_subsets(parts: Sequence[tuple[tuple[int, ...], int]]) -> Iterator[tup
 
 
 def _arrange_top_layer(
-    m: int, imax: int, residual: list[int], taken: set[int], target: int
+    m: int, imax: int, residual: list[int], taken: set[tuple[int, ...]], target: int
 ) -> None:
     """Add ``target`` distinct crossing-(imax+1) encodings to ``taken`` without
     exceeding any path's residual target length.
@@ -208,7 +193,7 @@ def _arrange_top_layer(
     """
     candidates = _candidate_steps(m, imax + 1, taken)
     picked: list[tuple[int, ...]] = []
-    pending: list[Iterator[tuple[tuple[int, ...], int]]] = []
+    pending: list[Iterator[tuple[int, ...]]] = []
     examined = 0
     while len(picked) < target:
         pending.append(candidates(residual))
@@ -220,7 +205,7 @@ def _arrange_top_layer(
                     "within the per-path length targets"
                 )
             undone = picked.pop()
-            taken.discard(_mask(undone))
+            taken.discard(undone)
             for k in undone:
                 residual[k] += 1
         examined += 1
@@ -229,11 +214,10 @@ def _arrange_top_layer(
                 "crossing-arrangement search space too large; "
                 "reduce m or the requested average length"
             )
-        subset, bits = found
-        for k in subset:
+        for k in found:
             residual[k] -= 1
-        taken.add(bits)
-        picked.append(subset)
+        taken.add(found)
+        picked.append(found)
 
 
 def _check_size(what: str, nodes: int, m: int = 0, n: int = 0) -> None:
@@ -298,9 +282,9 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
     m1 = int(m * (dbar - floor_d))
     lengths = [floor_d + 1 if i < m1 else floor_d for i in range(m)]
 
-    taken: set[int] = set()
+    taken: set[tuple[int, ...]] = set()
     for k in range(1, imax + 1):
-        taken.update(_layer(m, k))
+        taken.update(combinations(range(m), k))
     per_path_base = sum(comb(m - 1, k - 1) for k in range(1, imax + 1))
     residual = [lengths[k] - per_path_base for k in range(m)]
     if any(r < 0 for r in residual):
@@ -314,7 +298,13 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
 
     before = frozenset(taken)
     members = path_completion(before, m, lengths)
-    loads = _loads(members, m)
+    # crossing number first, then the path indices
+    ordered = sorted(members, key=lambda b: (len(b), b))
+    seqs: list[list[int]] = [[] for _ in range(m)]
+    for j, b in enumerate(ordered):
+        for i in b:
+            seqs[i].append(j)
+    loads = tuple(map(len, seqs))
     if list(loads) != lengths:
         raise ConstructionError(
             f"arrangement finished with per-path loads {loads}, wanted {lengths}"
@@ -331,12 +321,10 @@ def ica(m: int, dbar: Rational) -> ConstructedInstance:
     }
     if members != before:
         meta["replaced"] = (
-            encoding_string(next(iter(before - members)), m),
-            encoding_string(next(iter(members - before)), m),
+            encoding_string(_mask(next(iter(before - members))), m),
+            encoding_string(_mask(next(iter(members - before))), m),
         )
-    ordered = sorted(members, key=_canonical_key)
-    seqs = [[j for j, b in enumerate(ordered) if b >> i & 1] for i in range(m)]
-    return _instance(seqs, meta, tuple(encoding_string(b, m) for b in ordered))
+    return _instance(seqs, meta, tuple(encoding_string(_mask(b), m) for b in ordered))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ import io
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 from . import fixtures
 from ._record import record
 from .bounds import SCENARIO_INPUTS, Scenario, bound, bound_single_server, check_printable
 from .construct import fat_tree, fat_tree_all_pair_paths, fat_tree_route, ica
 from .identifiability import one_identifiable_set, testing_matrix
-from .model import Graph, PathSet, load_graph
+from .model import Graph, PathSet, load_graph, read_text
 from .routing import midpoint_cuts, q_lower_bound, shortest_path_tree, verify_segmentation, walk_to_root
 
 
@@ -190,7 +189,7 @@ def _random_placement(spec: ExperimentSpec) -> list[tuple]:
 def _read_pairs(path: str) -> list[tuple]:
     """Host pairs from a JSON file of the form {"pairs": [[src, dst], ...]}."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):

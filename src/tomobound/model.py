@@ -328,14 +328,24 @@ def format_path_file(ps: PathSet) -> str:
     return "\n".join(" ".join(map(str, p)) for p in ps.paths) + "\n"
 
 
+def read_text(path: str | Path) -> str:
+    """A file's UTF-8 text; a byte that is not UTF-8 is a ParseError on its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(str(path), line, f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}") from None
+
+
 def load_graph(path: str | Path) -> Graph:
     p = Path(path)
-    return parse_edge_list(p.read_text(encoding="utf-8"), source=str(p))
+    return parse_edge_list(read_text(p), source=str(p))
 
 
 def load_paths(path: str | Path) -> PathSet:
     p = Path(path)
-    return parse_path_file(p.read_text(encoding="utf-8"), source=str(p))
+    return parse_path_file(read_text(p), source=str(p))
 
 
 def save_graph(g: Graph, path: str | Path, labels: Sequence[str] = ()) -> None:

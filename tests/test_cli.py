@@ -371,6 +371,16 @@ class TestCheckCommand:
         assert out == ""
         assert err == f"error: a testing matrix over n={count} nodes does not fit in memory\n"
 
+    @pytest.mark.parametrize("where, lineno", [("g.edges", 4), ("p.paths", 2)])
+    def test_non_utf8_file_names_file_and_line(self, tmp_path, capsys, where, lineno):
+        (tmp_path / "g.edges").write_text("nodes 3\n0 1\n1 2\n")
+        (tmp_path / "p.paths").write_text("0 1 2\n")
+        bad = tmp_path / where
+        bad.write_bytes(bad.read_bytes() + b"# \xff\n")
+        code, out, err = run_cli(capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:{lineno}: not UTF-8 text: byte 0xff\n"
+
     def test_links_as_nodes(self, tmp_path, capsys):
         (tmp_path / "g.edges").write_text("0 1\n1 2\n")
         (tmp_path / "p.paths").write_text("0 1 2\n")
@@ -839,6 +849,22 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--name", "fat_tree_id", "--pairs", str(pairs))
         assert code == 2
         assert err == f"error: {pairs}: {defect}\n"
+
+    def test_non_utf8_topology_names_file_and_line(self, tmp_path, capsys):
+        (tmp_path / "g.edges").write_bytes(b"0 1\n1 2 # \xff\n")
+        code, out, err = run_cli(
+            capsys, "experiment", "--name", "random_placement", "--m", "2",
+            "--topology", str(tmp_path / "g.edges"),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / 'g.edges'}:2: not UTF-8 text: byte 0xff\n"
+
+    def test_non_utf8_pairs_file_names_file_and_line(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_bytes(b'{"pairs": [["10.0.0.2",\n "10.1.0.\xfe"]]}')
+        code, out, err = run_cli(capsys, "experiment", "--name", "fat_tree_id", "--pairs", str(pairs))
+        assert (code, out) == (2, "")
+        assert err == f"error: {pairs}:2: not UTF-8 text: byte 0xfe\n"
 
     def test_unknown_fat_tree_address_exits_2(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.json"

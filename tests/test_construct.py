@@ -1,5 +1,6 @@
 import inspect
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -33,12 +34,18 @@ from tomobound.model import format_edge_list, format_path_file, validate_path_se
 from tomobound.routing import check_consistency, midpoint_cuts, q_lower_bound, verify_segmentation
 
 
-def bits(s: str) -> int:
-    out = 0
-    for i, c in enumerate(s):
-        if c == "1":
-            out |= 1 << i
-    return out
+def bits(s: str) -> tuple[int, ...]:
+    """The encoding written as a string, first path leftmost, as the sorted
+    indices of its paths."""
+    return tuple(i for i, c in enumerate(s) if c == "1")
+
+
+def mask(subset) -> int:
+    return sum(1 << k for k in subset)
+
+
+def positions(b: int) -> tuple[int, ...]:
+    return tuple(k for k in range(b.bit_length()) if b >> k & 1)
 
 
 def loads(members, m: int) -> tuple[int, ...]:
@@ -76,8 +83,7 @@ def top_layer_states(draw):
     m = draw(st.integers(2, 5))
     imax = draw(st.integers(0, m - 2))
     residual = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
-    top = [sum(1 << k for k in s) for s in combinations(range(m), imax + 1)]
-    taken = draw(st.sets(st.sampled_from(top)))
+    taken = draw(st.sets(st.sampled_from(list(combinations(range(m), imax + 1)))))
     target = draw(st.integers(1, 4))
     return m, imax, residual, taken, target
 
@@ -89,13 +95,19 @@ def candidate_states(draw):
     m = draw(st.integers(1, 9))
     width = draw(st.integers(1, m))
     residual = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
-    top = [sum(1 << k for k in s) for s in combinations(range(m), width)]
-    taken = draw(st.sets(st.sampled_from(top)))
+    taken = draw(st.sets(st.sampled_from(list(combinations(range(m), width)))))
     return m, width, residual, taken
 
 
-def with_masks(subsets):
-    return [(s, sum(1 << k for k in s)) for s in subsets]
+def reference_arrange(m, imax, residual, taken, target):
+    """reference_arrange_top_layer over a ``taken`` set of path-index tuples."""
+    picked = reference_arrange_top_layer(m, imax, residual, set(map(mask, taken)), target)
+    taken.update(map(positions, picked))
+
+
+def reference_candidates(m, width, residual, taken):
+    """reference_candidate_order over a ``taken`` set of path-index tuples."""
+    return reference_candidate_order(m, width, residual, set(map(mask, taken)))
 
 
 class TestIca:
@@ -174,7 +186,7 @@ class TestIca:
         grid = [Fraction(j, m) for j in range(m, 8 * m + 1)]
         grid = [d for d in grid if (m, d) not in self.SLOW]
         got = [ica_outcome(m, d) for d in grid]
-        monkeypatch.setattr(tomobound.construct, "_arrange_top_layer", reference_arrange_top_layer)
+        monkeypatch.setattr(tomobound.construct, "_arrange_top_layer", reference_arrange)
         assert got == [ica_outcome(m, d) for d in grid]
 
     def test_enumeration_guard_matches_recursive_reference(self, monkeypatch):
@@ -182,7 +194,7 @@ class TestIca:
         monkeypatch.setattr(tomobound.construct, "_ENUMERATION_GUARD", 100)
         with pytest.raises(ConstructionError, match="search space too large") as head:
             ica(5, Fraction(23, 5))
-        monkeypatch.setattr(tomobound.construct, "_arrange_top_layer", reference_arrange_top_layer)
+        monkeypatch.setattr(tomobound.construct, "_arrange_top_layer", reference_arrange)
         with pytest.raises(ConstructionError) as reference:
             ica(5, Fraction(23, 5))
         assert str(head.value) == str(reference.value)
@@ -191,14 +203,14 @@ class TestIca:
     @given(top_layer_states())
     def test_top_layer_state_matches_recursive_reference(self, state):
         head = top_layer_outcome(tomobound.construct._arrange_top_layer, *state)
-        assert head == top_layer_outcome(reference_arrange_top_layer, *state)
+        assert head == top_layer_outcome(reference_arrange, *state)
 
     @settings(max_examples=300, deadline=None)
     @given(candidate_states())
     def test_candidate_order_matches_sorted_reference(self, state):
         m, width, residual, taken = state
         got = list(tomobound.construct._candidate_steps(m, width, taken)(residual))
-        assert got == with_masks(reference_candidate_order(*state))
+        assert got == reference_candidates(*state)
 
     def test_candidate_steps_share_groups(self):
         # as in the search: step a yields (0, 1), which is taken, step b runs
@@ -206,22 +218,22 @@ class TestIca:
         # {5, 6} is the same in both steps, so b drains the group (({5, 6}, 2),)
         # that a reaches afterwards, and both read the one memoised list
         m, width = 7, 2
-        residual, taken = [3, 3, 2, 2, 2, 1, 1], {0b1100}
+        residual, taken = [3, 3, 2, 2, 2, 1, 1], {(2, 3)}
         candidates = tomobound.construct._candidate_steps(m, width, taken)
         a = candidates(residual)
         first = next(a)
-        assert first == ((0, 1), 0b11)
-        taken.add(first[1])
+        assert first == (0, 1)
+        taken.add(first)
         after = [3 - 1, 3 - 1, 2, 2, 2, 1, 1]
-        assert list(candidates(after)) == with_masks(reference_candidate_order(m, width, after, taken))
-        taken.discard(first[1])
-        assert [first, *a] == with_masks(reference_candidate_order(m, width, residual, taken))
+        assert list(candidates(after)) == reference_candidates(m, width, after, taken)
+        taken.discard(first)
+        assert [first, *a] == reference_candidates(m, width, residual, taken)
 
     def test_candidate_steps_interleave_on_one_residual(self):
         # two iterators over one residual vector read the same groups; the
         # second drains them while the first is part-way through a group
-        m, width, residual, taken = 8, 3, [2, 1, 2, 1, 2, 1, 2, 1], {0b111, 0b10101}
-        want = with_masks(reference_candidate_order(m, width, residual, taken))
+        m, width, residual, taken = 8, 3, [2, 1, 2, 1, 2, 1, 2, 1], {(0, 1, 2), (0, 2, 4)}
+        want = reference_candidates(m, width, residual, taken)
         candidates = tomobound.construct._candidate_steps(m, width, taken)
         a = candidates(residual)
         head = [next(a) for _ in range(5)]
@@ -268,6 +280,15 @@ class TestIca:
         assert inst.meta["path_completion"]
         assert peak < 4 * 2**20
 
+    def test_lengths_near_one_build_in_linear_time(self):
+        # per-path loads that shifted every member by every path index took
+        # m * |members| steps, about 12 s here
+        t0 = time.monotonic()
+        inst = ica(6000, Fraction(6003, 6000))
+        elapsed = time.monotonic() - t0
+        assert elapsed < 2.0, f"ica m=6000 took {elapsed:.1f}s"
+        assert inst.paths.lengths() == inst.meta["lengths"]
+
     def test_full_size_files_unchanged(self, tmp_path, capsys):
         # sha256 of the files written by ``construct ica --m 16 --dbar 200``,
         # recorded before the top-layer search was written as a loop
@@ -291,7 +312,7 @@ class TestPathCompletion:
         out = path_completion(members, 4, [5, 4, 4, 4])
         assert members - out == {bits("0110")}
         assert out - members == {bits("1110")}
-        assert loads(out, 4) == (5, 4, 4, 4)
+        assert loads(set(map(mask, out)), 4) == (5, 4, 4, 4)
 
     def test_no_short_paths_identity(self):
         members = frozenset(bits(s) for s in ["10", "01"])
@@ -312,10 +333,10 @@ class TestPathCompletion:
         members = frozenset(
             bits(s) for s in ["1000", "0100", "0010", "0001", "1100", "1010", "1001", "0101", "0011"]
         )
-        assert loads(members, 4) == (4, 3, 3, 4)
+        assert loads(set(map(mask, members)), 4) == (4, 3, 3, 4)
         out = path_completion(members, 4, [5, 3, 3, 4])
         assert out == members - {bits("0101")} | {bits("1101")}
-        assert loads(out, 4) == (5, 3, 3, 4)
+        assert loads(set(map(mask, out)), 4) == (5, 3, 3, 4)
 
     def test_error_when_no_candidate(self):
         # all heavier encodings already present: completion cannot swap
