@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -29,14 +28,12 @@ from .construct import (
 )
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
 from .identifiability import (
-    DEFAULT_WORK_CAP,
     OracleTooLargeError,
     k_identifiable_set,
     one_identifiable_set,
     testing_matrix,
 )
 from .model import (
-    ParseError,
     links_as_nodes,
     load_graph,
     load_paths,
@@ -81,14 +78,6 @@ def _int_range(text: str) -> tuple[int, ...]:
         except (MemoryError, OverflowError):  # raised before any allocation at such sizes
             raise argparse.ArgumentTypeError(f"range {text!r} does not fit in memory") from None
     return _int_list(text)
-
-
-def _work_cap() -> int:
-    raw = os.environ.get("TOMOBOUND_WORK_CAP")
-    try:
-        return int(raw) if raw else DEFAULT_WORK_CAP
-    except ValueError:
-        raise ValueError(f"TOMOBOUND_WORK_CAP must be an integer, got {raw!r}") from None
 
 
 def _given_flags(what: str, args: argparse.Namespace, flags: tuple[str, ...], reads: set | dict) -> dict:
@@ -148,7 +137,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             report["consistency_violations"] = ["paths are not simple; consistency not defined"]
         if args.k is not None:
             report["k"] = args.k
-            report["phi_k"] = k_identifiable_set(t, args.k, work_cap=_work_cap())[0]
+            report["phi_k"] = k_identifiable_set(t, args.k)[0]
     print(json.dumps(report, indent=1))
     return CHECK_VIOLATIONS if violations else 0
 
@@ -257,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="identifiability and consistency report for files")
     c.add_argument("graph", help="edge-list file")
     c.add_argument("paths", help="path file")
-    c.add_argument("--k", type=int, help="also count k-identifiable nodes (exhaustive)")
+    c.add_argument("--k", type=int, help="also count k-identifiable nodes (exact, by cover search)")
     c.add_argument("--require-simple", action="store_true", help="flag repeated nodes within a path")
     c.add_argument("--links-as-nodes", action="store_true",
                    help="model links through logical nodes before checking")
@@ -302,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OracleTooLargeError, ConstructionError, ParseError, OSError) as exc:
+    except (ValueError, OracleTooLargeError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -11,16 +11,14 @@ writes path 1 leftmost, matching the usual display of such vectors.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
-from math import comb
+from itertools import compress, count
+from typing import Iterator
 
 from .model import PathSet
 
-DEFAULT_WORK_CAP = 10**7
-
 
 class OracleTooLargeError(RuntimeError):
-    """The exhaustive k-identifiability enumeration would exceed the work cap."""
+    """The k-identifiability cover search scanned more candidate nodes than its work cap."""
 
 
 def encoding_string(bits: int, m: int) -> str:
@@ -56,50 +54,62 @@ def one_identifiable_set(columns: tuple[int, ...]) -> tuple[int, frozenset[int]]
     return len(ident), ident
 
 
-def k_identifiable_set(
-    columns: tuple[int, ...], k: int, work_cap: int = DEFAULT_WORK_CAP
-) -> tuple[int, frozenset[int]]:
-    """Nodes that are k-identifiable, with their count, by exhaustive enumeration.
+def _ones(x: int) -> Iterator[int]:
+    """The indices of the set bits of ``x >= 0``, lowest first."""
+    s, i = bin(x)[:1:-1], -1
+    while (i := s.find("1", i + 1)) >= 0:
+        yield i
 
-    Node v is k-identifiable iff any two failure sets of size <= k that differ
-    on v produce different sets of failed paths. Every failure set F with
-    |F| <= k is visited once, as a visited set plus one node of higher id, so
-    its signature (the OR of its members' encodings, its incident paths) costs
-    one OR. Node v fails the test iff some signature is reached both with v
-    failed and with v working, i.e. v lies in the union but not the
-    intersection of that signature's failure sets; a set that differs from its
-    signature's running intersection marks exactly such nodes. A walk that
-    fills memory raises ``OracleTooLargeError``.
+
+def k_identifiable_set(
+    columns: tuple[int, ...], k: int, work_cap: int = 10**7
+) -> tuple[int, frozenset[int]]:
+    """Nodes that are k-identifiable, with their count, by a cover test per node.
+
+    A *cover* of v is a set of other nodes whose paths include v's, P_v. A
+    1-identifiable v is not k-identifiable iff some cover has <= k-1 nodes, or
+    some k-node cover F2 leaves paths P(F2) - P_v that <= k-1 nodes u != v with
+    P_u within P(F2) can cover (Ma et al., IMC 2014). Scanning over
+    ``work_cap`` candidate nodes raises ``OracleTooLargeError``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(columns)
-    k = min(k, n)  # no failure set has more than n nodes
-    subsets = sum(comb(n, i) for i in range(1, k + 1))
-    if subsets > work_cap:
-        raise OracleTooLargeError(
-            f"oracle too large: {subsets} failure sets (sum of C({n},i) for i=1..{k}) "
-            f"exceed work cap {work_cap}"
-        )
-    inter_of = {0: 0}  # signature -> intersection of its failure sets; F = {} has no members
-    bad = 0
-    stack = [(0, 0, 0, k)]  # (lowest id to add, signature, members, nodes left) of visited sets
-    try:
+    cols = sorted(set(compress(columns, columns)), key=int.bit_length, reverse=True)  # equal ones are interchangeable
+    rows = [0] * (cols[0].bit_length() if cols else 0)  # path -> its nodes, as indices into cols
+    for j, c in enumerate(cols):  # widest first, so the rows take no more bits than cols
+        for i in _ones(c):
+            rows[i] |= 1 << j
+    scans = count(1)
+
+    def covers(left: int, union: int, depth: int, others: int, outside: int) -> Iterator[int]:
+        """``union | P(F)`` for covers F of paths ``left`` by <= ``depth`` of ``others``, none on ``outside``."""
+        stack = [(left, union, depth)]
         while stack:
-            low, sig, mask, left = stack.pop()
-            left -= 1
-            for j in range(low, n):
-                sig_j, mask_j = sig | columns[j], mask | 1 << j
-                inter = inter_of.setdefault(sig_j, mask_j)
-                bad |= inter ^ mask_j
-                inter_of[sig_j] = inter & mask_j
-                if left:
-                    stack.append((j + 1, sig_j, mask_j, left))
-    except MemoryError:
-        raise OracleTooLargeError(
-            f"oracle too large: {len(inter_of)} failure-set signatures filled memory"
-        ) from None
-    ident = frozenset(j for j in range(n) if not bad >> j & 1)
+            left, union, depth = stack.pop()
+            if not left:
+                yield union
+            elif depth:
+                cand = others
+                for i in _ones(left):  # the last node lies on every uncovered path, others on the lowest
+                    cand &= rows[i]
+                    if depth > 1 or not cand:
+                        break
+                for u in _ones(cand):
+                    if next(scans) > work_cap:
+                        raise OracleTooLargeError(f"oracle too large: over {work_cap} candidate nodes scanned")
+                    if not (c := cols[u]) & outside:
+                        stack.append((left & ~c, union | c, depth - 1))
+
+    def identifiable(j: int) -> bool:
+        p_v, others = cols[j], ~(1 << j)
+        # a cover F2 of <= k-1 nodes fails the paths of F2 + {v}; the second search finds
+        # that too, but later. Then v and <= k-1 nodes within P(F2) must not match a k-node F2
+        if any(covers(p_v, 0, k - 1, others, 0)):
+            return False
+        return not any(any(covers(s & ~p_v, p_v, k - 1, others, ~s)) for s in covers(p_v, 0, k, others, 0))
+
+    index = {c: j for j, c in enumerate(cols)}
+    ident = frozenset(v for v in one_identifiable_set(columns)[1] if identifiable(index[columns[v]]))
     return len(ident), ident
 
 

@@ -11,8 +11,9 @@ import pytest
 import tomobound
 from conftest import reference_check_consistency, reference_q_lower_bound
 from tomobound.bounds import Scenario
+from tomobound import cli
 from tomobound.cli import entry, main
-from tomobound.identifiability import testing_matrix
+from tomobound.identifiability import k_identifiable_set, testing_matrix
 from tomobound.model import Graph, PathSet, format_edge_list, format_path_file
 
 
@@ -288,19 +289,24 @@ class TestCheckCommand:
         assert (code, json.loads(out)["q_lower_bound"]) == (0, 2)
         assert len(calls) == 1
 
-    def test_work_cap_env_override(self, tmp_path, capsys, monkeypatch):
-        (tmp_path / "g.edges").write_text("nodes 30\n" + "".join(f"{i} {i+1}\n" for i in range(29)))
-        (tmp_path / "p.paths").write_text(" ".join(str(i) for i in range(30)) + "\n")
-        monkeypatch.setenv("TOMOBOUND_WORK_CAP", "10")
-        code, _, err = run_cli(
-            capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"), "--k", "3"
-        )
-        assert code == 2
-        assert "oracle too large" in err
+    def test_oracle_refusal_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a cover search that scans more candidate nodes than its work cap prints no report
+        from tomobound.construct import fat_tree, fat_tree_all_pair_paths
+        from tomobound.model import save_graph, save_paths
 
-    def test_oracle_out_of_memory_exits_2(self, tmp_path, capsys):
-        # fat-tree k=6 at --k 4 visits 3.9M failure sets, under the default work cap; their
-        # signatures outgrow this 300 MB address-space limit, set in a child process
+        ft = fat_tree(4)
+        save_graph(ft.graph, tmp_path / "g.edges")
+        save_paths(fat_tree_all_pair_paths(ft), tmp_path / "p.paths")
+        monkeypatch.setattr(cli, "k_identifiable_set", lambda t, k: k_identifiable_set(t, k, work_cap=10))
+        code, out, err = run_cli(
+            capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"), "--k", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: oracle too large: over 10 candidate nodes scanned\n"
+
+    def test_oracle_fits_address_limit(self, tmp_path, capsys):
+        # fat-tree k=6 at --k 4 is answered under this 300 MB address-space limit, set in a
+        # child process: the cover search keeps no table of failure sets
         resource = pytest.importorskip("resource")
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("no address-space limit on this platform")
@@ -314,18 +320,8 @@ class TestCheckCommand:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
             capture_output=True, text=True, timeout=120,
         )
-        assert (run.returncode, run.stdout) == (2, "")
-        assert re.fullmatch(r"error: oracle too large: \d+ failure-set signatures filled memory\n", run.stderr)
-
-    def test_work_cap_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
-        (tmp_path / "g.edges").write_text("0 1\n")
-        (tmp_path / "p.paths").write_text("0 1\n")
-        monkeypatch.setenv("TOMOBOUND_WORK_CAP", "abc")
-        code, _, err = run_cli(
-            capsys, "check", str(tmp_path / "g.edges"), str(tmp_path / "p.paths"), "--k", "1"
-        )
-        assert code == 2
-        assert "TOMOBOUND_WORK_CAP" in err and "'abc'" in err
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads(run.stdout)["phi_k"] == 9
 
     def test_violations_exit_1(self, tmp_path, capsys):
         (tmp_path / "g.edges").write_text("0 1\n")

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,14 +259,23 @@ class TestKIdentifiability:
             for k in {max(n - 1, 1), n}:
                 assert k_identifiable_set(t, k)[1] == brute_force_k_identifiable_set(t, k), (t, k)
 
+    def test_cover_reaching_outside_the_matched_paths_does_not_count(self):
+        # paths a..e are bits 0..4: v = {a, b} is covered by x = {a, c} and y = {b, d}, and
+        # z = {c, d, e} covers what x and y add, but also fails path e, which they do not
+        v, x, y, z = 0b00011, 0b00101, 0b01010, 0b11100
+        assert k_identifiable_set((v, x, y, z), 2) == (4, frozenset(range(4)))
+        assert brute_force_k_identifiable_set((v, x, y, z), 2) == set(range(4))
+
     def test_work_cap_guard(self):
-        ps = PathSet.from_sequences([list(range(40))])
-        t = testing_matrix(ps, 40)
-        with pytest.raises(OracleTooLargeError, match="oracle too large"):
-            k_identifiable_set(t, 4, work_cap=1000)
+        # k=1 answers; at k=2 each node's covers branch over its paths' 2,000 nodes
+        inst = ica(20, 2000)
+        t = testing_matrix(inst.paths, inst.graph.node_count)
+        assert k_identifiable_set(t, 1) == one_identifiable_set(t)
+        with pytest.raises(OracleTooLargeError, match=r"^oracle too large: over 100000 candidate nodes scanned$"):
+            k_identifiable_set(t, 2, work_cap=10**5)
 
     def test_half_grid_k3_within_default_cap(self):
-        # 7,806 failure sets of size 1..3; C(36,3)^2 would be about 5.1e7
+        # 36 nodes: the brute-force oracle still answers at k=3 (7,806 failure sets of size 1..3)
         hg = half_grid(8)
         t = testing_matrix(hg.paths, hg.graph.node_count)
         assert k_identifiable_set(t, 3)[1] == brute_force_k_identifiable_set(t, 3)
@@ -371,6 +382,24 @@ def test_oracle_equivalence_property(data):
     t = testing_matrix(ps, g.node_count)
     assert k_identifiable_set(t, 1) == one_identifiable_set(t)
     assert k_identifiable_set(t, 2)[1] == brute_force_k_identifiable_set(t, 2)
+    # column tuples drawn directly, with zero, duplicate and hub columns (the OR of
+    # others), at every k up to n + 1
+    m = data.draw(st.integers(1, 7))
+    cols = []
+    for _ in range(data.draw(st.integers(1, 9))):
+        kind = data.draw(st.sampled_from(("zero", "new", "duplicate", "hub") if cols else ("zero", "new")))
+        if kind == "zero":
+            cols.append(0)
+        elif kind == "new":
+            cols.append(data.draw(st.integers(1, 2**m - 1)))
+        elif kind == "duplicate":
+            cols.append(data.draw(st.sampled_from(cols)))
+        else:
+            cols.append(reduce(or_, data.draw(st.lists(st.sampled_from(cols), min_size=2, max_size=4))))
+    t = tuple(data.draw(st.permutations(cols)))
+    for k in range(1, len(t) + 2):
+        expected = brute_force_k_identifiable_set(t, k)
+        assert k_identifiable_set(t, k) == (len(expected), frozenset(expected)), (t, k)
 
 
 @settings(max_examples=300, deadline=None)
